@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flag(pc)
     pc.add_argument("--min-speedup", type=float, default=None, metavar="X",
                     help="require baseline_time / current_time >= X "
-                         "(e.g. 10 to pin the vectorized backend's win)")
+                         "(e.g. 15 to pin the vectorized backend's win)")
     pc.add_argument("--record", default=None, metavar="DIR",
                     help="append the measured record to this history dir")
     pc.add_argument("--json", action="store_true",

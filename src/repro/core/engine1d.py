@@ -35,6 +35,7 @@ from repro.core._deprecation import warn_engine_deprecation
 from repro.core.config import OptimizationConfig
 from repro.core.sweep import SweepSpec, run_block_sweep
 from repro.core.uvbuild import build_u_matrix
+from repro.core.vectorize import run_vector_sweep
 from repro.errors import PerfError, ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -117,6 +118,12 @@ class LoRAStencil1D:
         """Attach a pipeline-produced lowered program to this engine."""
         self._lowered = lowered
 
+    @property
+    def vector(self):
+        """The lowered program's vectorized form (None off tensor cores)."""
+        lowered = self.lowered
+        return lowered.vector if lowered is not None else None
+
     # ------------------------------------------------------------------
     # functional path
     # ------------------------------------------------------------------
@@ -165,7 +172,9 @@ class LoRAStencil1D:
         """
         from repro.runtime.backends import engine_backend
 
-        backend = engine_backend(backend, oracle)
+        backend = engine_backend(
+            backend, oracle, bool(verify) or policy is not None or report is not None
+        )
         padded = np.asarray(padded, dtype=np.float64)
         if padded.ndim != 1:
             raise ShapeError(f"expected 1D input, got {padded.ndim}D")
@@ -185,28 +194,12 @@ class LoRAStencil1D:
             ndim=1,
             shape_label=str(n),
         )
-        if backend == "vectorized":
-            if verify or policy is not None or report is not None:
-                from repro.errors import BackendError
-
-                raise BackendError(
-                    "the vectorized backend does not support ABFT "
-                    "verification or fault recovery; use "
-                    "backend='interpreter'"
-                )
-            lowered = self.lowered
-            vector = lowered.vector if lowered is not None else None
-            if vector is not None:
-                out, events = run_block_sweep(
-                    padded.reshape(1, -1),
-                    spec,
-                    None,
-                    device=device,
-                    profiler=profiler,
-                    vector=vector,
-                )
-                return out.reshape(-1), events
-            backend = "interpreter"  # CUDA-core config: nothing to batch
+        if backend == "vectorized" and self.vector is not None:
+            out, events = run_vector_sweep(
+                padded.reshape(1, -1), spec, self.vector, device, profiler
+            )
+            return out.reshape(-1), events
+        # (a CUDA-core config has nothing to vectorize: it runs eagerly)
         guard = None
         if verify:
             from repro.faults.abft import make_guard

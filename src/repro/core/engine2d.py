@@ -40,6 +40,7 @@ from repro.core.config import OptimizationConfig
 from repro.core.lowrank import Decomposition, decompose
 from repro.core.rdg import OUT_TILE, RDGTileCompute
 from repro.core.sweep import SweepSpec, run_block_sweep, validate_padded
+from repro.core.vectorize import run_vector_sweep
 from repro.errors import PerfError, ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -109,6 +110,27 @@ class LoRAStencil2D:
     def bind_lowered(self, lowered) -> None:
         """Attach a pipeline-produced lowered program to this engine."""
         self._lowered = lowered
+
+    @property
+    def vector(self):
+        """The lowered program's vectorized form (None off tensor cores)."""
+        lowered = self.lowered
+        return lowered.vector if lowered is not None else None
+
+    def sweep_spec(
+        self, rows: int, cols: int, block: tuple[int, int] | None = None
+    ) -> SweepSpec:
+        """The block-sweep geometry of a ``rows x cols`` interior."""
+        t = self.tile
+        return SweepSpec(
+            interior=(rows, cols),
+            tile=(t.out_rows, t.out_cols),
+            block=block or DEFAULT_BLOCK_2D,
+            smem_halo=(t.k_rows - t.out_rows, t.w_cols - t.out_cols),
+            use_async_copy=self.config.use_async_copy,
+            ndim=2,
+            shape_label=f"{rows}x{cols}",
+        )
 
     def tile_source(self, oracle: bool = False, profiler=None):
         """The tile provider the sweep driver executes.
@@ -200,39 +222,14 @@ class LoRAStencil2D:
         """
         from repro.runtime.backends import engine_backend
 
-        backend = engine_backend(backend, oracle)
-        padded, (rows, cols) = validate_padded(padded, 2, self.radius)
-        t = self.tile
-        spec = SweepSpec(
-            interior=(rows, cols),
-            tile=(t.out_rows, t.out_cols),
-            block=block or DEFAULT_BLOCK_2D,
-            smem_halo=(t.k_rows - t.out_rows, t.w_cols - t.out_cols),
-            use_async_copy=self.config.use_async_copy,
-            ndim=2,
-            shape_label=f"{rows}x{cols}",
+        backend = engine_backend(
+            backend, oracle, bool(verify) or policy is not None or report is not None
         )
-        if backend == "vectorized":
-            if verify or policy is not None or report is not None:
-                from repro.errors import BackendError
-
-                raise BackendError(
-                    "the vectorized backend does not support ABFT "
-                    "verification or fault recovery; use "
-                    "backend='interpreter'"
-                )
-            lowered = self.lowered
-            vector = lowered.vector if lowered is not None else None
-            if vector is not None:
-                return run_block_sweep(
-                    padded,
-                    spec,
-                    None,
-                    device=device,
-                    profiler=profiler,
-                    vector=vector,
-                )
-            backend = "interpreter"  # CUDA-core config: nothing to batch
+        padded, (rows, cols) = validate_padded(padded, 2, self.radius)
+        spec = self.sweep_spec(rows, cols, block)
+        if backend == "vectorized" and self.vector is not None:
+            return run_vector_sweep(padded, spec, self.vector, device, profiler)
+        # (a CUDA-core config has nothing to vectorize: it runs eagerly)
         guard = None
         if verify:
             from repro.faults.abft import make_guard

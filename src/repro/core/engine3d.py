@@ -31,6 +31,7 @@ from repro.core._deprecation import (
 )
 from repro.core.config import OptimizationConfig
 from repro.core.engine2d import LoRAStencil2D
+from repro.core.vectorize import run_vector_sweep
 from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
@@ -151,10 +152,11 @@ class LoRAStencil3D:
 
         TCU planes dispatch per-slab 2D sweeps through the shared
         block-sweep driver (each plane engine interprets its own lowered
-        tile program); the point-wise planes charge CUDA-core FLOPs and
-        DRAM traffic without touching the tensor cores (Alg. 2's
-        dual-unit split).  ``backend`` threads into every plane engine's
-        sweep; the legacy ``oracle=True`` flag is equivalent to
+        tile program); under the vectorized backend all z-slabs of a
+        plane go through one batched sweep.  The point-wise planes are
+        whole-volume CUDA-core axpys that charge FLOPs and DRAM traffic
+        without touching the tensor cores (Alg. 2's dual-unit split).
+        The legacy ``oracle=True`` flag is equivalent to
         ``backend="oracle"`` (every plane engine on its eager tile
         path).  The vectorized backend rejects ``verify``/``policy``/
         ``report`` with a typed :class:`~repro.errors.BackendError`.
@@ -166,16 +168,9 @@ class LoRAStencil3D:
         """
         from repro.runtime.backends import engine_backend
 
-        backend = engine_backend(backend, oracle)
-        if backend == "vectorized" and (
-            verify or policy is not None or report is not None
-        ):
-            from repro.errors import BackendError
-
-            raise BackendError(
-                "the vectorized backend does not support ABFT "
-                "verification or fault recovery; use backend='interpreter'"
-            )
+        backend = engine_backend(
+            backend, oracle, bool(verify) or policy is not None or report is not None
+        )
         padded = np.asarray(padded, dtype=np.float64)
         if padded.ndim != 3:
             raise ShapeError(f"expected 3D input, got {padded.ndim}D")
@@ -205,8 +200,17 @@ class LoRAStencil3D:
                             slice(pj, pj + cs),
                         )
                     )
-                    for z in range(zs):
-                        warp.cuda_core_axpy(out[z], wt, slab[z])
+                    warp.cuda_core_axpy(out, wt, slab)
+                elif backend == "vectorized" and task.engine.vector is not None:
+                    # every z-slab of the plane in one batched sweep
+                    tiles, _ = run_vector_sweep(
+                        padded[task.index : task.index + zs],
+                        task.engine.sweep_spec(rs, cs, block),
+                        task.engine.vector,
+                        device,
+                        profiler,
+                    )
+                    warp.cuda_core_axpy(out, 1.0, tiles)
                 elif task.engine is not None:
                     for z in range(zs):
                         tile, _ = task.engine.apply_simulated(

@@ -265,36 +265,35 @@ def _pass_build_tile_ir(ctx: LoweringContext) -> None:
         )
 
 
+def _scheduled_tile(program: TileProgram, schedule: str) -> LoweredTile:
+    """Check a scheduled program's dependences and wrap it."""
+    try:
+        validate_schedule(program)
+    except ValueError as exc:
+        raise LoweringError(
+            f"schedule {schedule!r} broke a dependence: {exc}"
+        ) from exc
+    return LoweredTile(
+        program=program,
+        schedule=schedule,
+        load_use_distance=load_use_distance(program),
+    )
+
+
 def _pass_schedule(ctx: LoweringContext) -> None:
     """Apply the configured schedule and compute its statistics."""
     fn = get_schedule(ctx.config.schedule)
-    tiles: list[LoweredTile | None] = []
-    for ir in ctx.tile_irs:
-        if ir is None:
-            tiles.append(None)
-            continue
-        program = fn(ir)
-        try:
-            validate_schedule(program)
-        except ValueError as exc:
-            raise LoweringError(
-                f"schedule {ctx.config.schedule!r} broke a dependence: {exc}"
-            ) from exc
-        tiles.append(
-            LoweredTile(
-                program=program,
-                schedule=ctx.config.schedule,
-                load_use_distance=load_use_distance(program),
-            )
-        )
-    ctx.tiles = tuple(tiles)
+    ctx.tiles = tuple(
+        None if ir is None else _scheduled_tile(fn(ir), ctx.config.schedule)
+        for ir in ctx.tile_irs
+    )
 
 
 def _pass_vectorize(ctx: LoweringContext) -> None:
     """Compile each scheduled program for the vectorized backend.
 
-    Materializes the banded U/V operands as dense matrix-domain arrays
-    (once per plan) and attaches the resulting
+    Groups the band taps of every rank-1 term into the MMA chunks of
+    the fixed-order chain (once per plan) and attaches the resulting
     :class:`~repro.core.vectorize.VectorProgram` to the lowered tile.
     CUDA-core tiles (``None``) pass through: they have no program on
     either backend.
@@ -448,16 +447,5 @@ def lower_engine(engine) -> LoweredTile | None:
         if tile is not None
         else build_tile_program_1d(engine)
     )
-    program = fn(ir)
-    try:
-        validate_schedule(program)
-    except ValueError as exc:
-        raise LoweringError(
-            f"schedule {engine.config.schedule!r} broke a dependence: {exc}"
-        ) from exc
-    return LoweredTile(
-        program=program,
-        schedule=engine.config.schedule,
-        load_use_distance=load_use_distance(program),
-        vector=build_vector_program(program),
-    )
+    lowered = _scheduled_tile(fn(ir), engine.config.schedule)
+    return replace(lowered, vector=build_vector_program(lowered.program))

@@ -19,6 +19,7 @@ terms) and falls back to SVD otherwise, which is how the implementation
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +224,8 @@ def pyramidal_decompose(
 
 
 def svd_decompose(w: np.ndarray, tol: float = 1e-12) -> Decomposition:
-    """Generic low-rank route (Eq. 8): ``rank(W)`` full-size terms."""
+    """Generic low-rank route (Eq. 8): ``rank(W)`` full-size terms, in
+    decreasing singular-value order, host-independent (:func:`_jacobi_svd`)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ShapeError(f"weight matrix must be square, got shape {w.shape}")
@@ -237,14 +239,57 @@ def svd_decompose(w: np.ndarray, tol: float = 1e-12) -> Decomposition:
                 Rank1Term(u=np.array([w[0, 0]]), v=np.array([1.0]), size=1, pad=0),
             )
         return Decomposition(terms, full_side=1, method="svd")
-    p, s, qt = np.linalg.svd(w)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 1.0)
+    a, v = _jacobi_svd(w)
+    norms = [math.sqrt(math.fsum(a[:, k] * a[:, k])) for k in range(n)]
+    order = sorted(range(n), key=lambda k: -norms[k])
+    cutoff = tol * max(1.0, norms[order[0]])
     term_list = [
-        Rank1Term(u=p[:, k] * s[k], v=qt[k, :], size=n, pad=0)
-        for k in range(len(s))
-        if s[k] > cutoff
+        Rank1Term(u=a[:, k].copy(), v=v[:, k].copy(), size=n, pad=0)
+        for k in order
+        if norms[k] > cutoff
     ]
     return Decomposition(tuple(term_list), full_side=n, method="svd")
+
+
+#: sweep cap of :func:`_jacobi_svd` (the zoo converges in under ten)
+_JACOBI_SWEEPS = 30
+
+
+def _jacobi_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Jacobi SVD: ``W V = A``, ``V`` orthogonal, the columns
+    of ``A`` orthogonal, so ``W = sum_k A[:, k] V[:, k]^T``.
+
+    Only float multiplies and adds, ``math.fsum`` and ``math.sqrt`` in a
+    fixed order: unlike a LAPACK SVD, the bits do not depend on the BLAS.
+    """
+    n = w.shape[1]
+    a = [list(map(float, col)) for col in w.T]  # a[k] is column k of A
+    v = [[float(i == k) for i in range(n)] for k in range(n)]
+    eps = float(np.finfo(np.float64).eps)
+    # columns at rounding-noise level never converge against each other;
+    # their correlation below this floor counts as orthogonal
+    floor = eps * eps * math.fsum(x * x for col in a for x in col)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                alpha = math.fsum(x * x for x in a[i])
+                beta = math.fsum(x * x for x in a[j])
+                gamma = math.fsum(x * y for x, y in zip(a[i], a[j]))
+                if abs(gamma) <= max(eps * math.sqrt(alpha * beta), floor):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.sqrt(1.0 + zeta * zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                for m in (a, v):
+                    col_i, col_j = m[i], m[j]
+                    m[i] = [c * x - s * y for x, y in zip(col_i, col_j)]
+                    m[j] = [s * x + c * y for x, y in zip(col_i, col_j)]
+        if not rotated:
+            break
+    return np.array(a).T, np.array(v).T
 
 
 def decompose(w: np.ndarray, tol: float = 1e-12) -> Decomposition:

@@ -116,7 +116,6 @@ def run_block_sweep(
     device: Device | None = None,
     profiler=None,
     guard=None,
-    vector=None,
 ) -> tuple[np.ndarray, EventCounters]:
     """Sweep one grid block by block; returns ``(interior, counters)``.
 
@@ -143,32 +142,14 @@ def run_block_sweep(
     recovering per its policy.  Both default to ``None`` and cost one
     ``is not None`` check each on the unguarded path.
 
-    ``vector`` (a :class:`~repro.core.vectorize.VectorProgram`) switches
-    the sweep to the vectorized backend: all tiles at once, bit-identical
-    numerics and counters, no per-tile hooks — so it refuses to combine
-    with ``guard`` or a device-attached fault injector.
+    The vectorized backend has its own driver with the same contract,
+    :func:`repro.core.vectorize.run_vector_sweep`.
     """
     beat = current_beat()
     n_tiles = (
         -(-spec.interior[0] // spec.tile[0])
         * -(-spec.interior[1] // spec.tile[1])
     )
-    if vector is not None:
-        from repro.core.vectorize import run_vector_sweep
-
-        if guard is not None:
-            from repro.errors import BackendError
-
-            raise BackendError(
-                "the vectorized backend does not support ABFT sweep "
-                "guards; use backend='interpreter'"
-            )
-        out = run_vector_sweep(
-            padded2d, spec, vector, device=device, profiler=profiler
-        )
-        if beat is not None:
-            beat(n_tiles, n_tiles)  # one-shot: all tiles at once
-        return out
     device = device or Device()
     injector = getattr(device, "injector", None)
     start = device.snapshot()

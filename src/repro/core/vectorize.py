@@ -1,48 +1,55 @@
-"""The vectorized execution backend: batched NumPy over whole sweeps.
+"""The vectorized execution backend: the MMA chain over the whole grid.
 
 The per-thread interpreter (:func:`repro.tcu.program.execute_program`)
-steps one warp tile at a time, fragment by fragment — the reference
-semantics, and ~1s for a single 256x256 Box-2D9P sweep.  This module
-compiles the *same scheduled* :class:`~repro.tcu.program.TileProgram`
-into broadcast ``np.matmul`` over **all tiles of the sweep at once**:
+steps one warp tile at a time.  This module evaluates the *same*
+per-element arithmetic for every tile of a sweep at once, as
+whole-grid NumPy operations: the whole-grid form of the paper's
+Section III chain ``sum_k U_k X V_k``.
 
-* the banded U/V operands are materialized once per plan from the
-  engine's fragments (``Fragment.from_matrix``/``to_matrix`` is an exact
-  permutation gather, so matrix-domain math is bit-identical to
-  fragment-domain math);
-* every tile's input window is gathered into one ``(n_tiles, k_rows,
-  w_cols)`` batch via ``sliding_window_view`` over a zero-extended copy
-  of the padded grid (shared memory is zero-initialized and clamp-filled,
-  so the windows match the staged blocks exactly, including edge tiles);
-* the instruction walk follows the plan's *scheduled* order, so every
-  registered schedule runs identically on both backends;
-* broadcast ``np.matmul`` with an elementwise accumulator add is
-  bit-identical to the interpreter's per-tile 2D ``@`` (``einsum`` is
-  **not**, and is deliberately not used).
+Every MMA runs in the fixed order of :func:`repro.tcu.mma.mma_m8n8k4`
+(``+0.0`` seed, k-products in order, then the accumulator), so each
+output element is a fixed chain of band taps that depends only on its
+position modulo the fragment shape (tiles start on multiples of 8):
 
-EventCounters are *derived*, not measured: the per-tile program cost is
-probed by interpreting the program once against a scratch shared tile
-(counter deltas are value-independent — bank conflicts depend only on
-addresses, shuffle groups only on ownership maps — and shift-invariant
-across tile origins), then scaled by the tile count; staging and DRAM
-traffic is priced block-for-block with the driver's arithmetic.  The
-result matches the interpreter **bit-for-bit**, which the
-schedule-equivalence property suite pins.
+* **Step 1** (``mma``, ``T = U X``): row ``i`` reads rows ``i + pad +
+  t``; tap ``t`` sits in k-block ``(i + pad + t) // 4``, so rows with
+  equal ``i mod 4`` share a chain.  Each k-block is summed, then added
+  to the running accumulator.
+* **Step 2** (``split`` + ``mma2``, ``out += T V``): column ``j`` reads
+  ``T`` columns ``c = j + pad + m`` in the chunks the split hands the
+  MMAs, ``(c // 8, c % 2)`` under BVS and ``c // 4`` without, so columns
+  with equal ``j mod 8`` share a chain.  The output accumulator runs
+  across rank-1 terms in term-major order, as the ``mma2`` chain does.
+* **Apex**: ``out += w * centre``.  **1D**: Step 1 along the flat axis.
 
-Fault injection and ABFT verification hook the per-thread execution the
-vectorized path skips, so :func:`run_vector_sweep` refuses devices with
-an attached injector; engines reject ``verify=`` up front with a typed
-:class:`~repro.errors.BackendError`.
+Destinations start at ``+0.0`` (the chain's seed) and every chunk sum is
+added to them.  Zero weights and the structural zeros of the banded
+``U``/``V`` blocks are skipped, which the seed makes exact, sign of
+zero included, while no product overflows (:mod:`repro.tcu.mma`).  So
+grids are byte-identical to the interpreter's on every host; no
+``matmul`` is involved.  Operands are stored residue-major (rows by
+``i mod 4``; ``split`` regroups ``T`` by ``c mod 8`` and transposes it)
+so every operation reads contiguous blocks.  A leading batch axis
+carries the z-slabs of a 3D tensor-core plane through one call.
+
+EventCounters are *derived*: the per-tile program cost is probed by
+interpreting the program once on a scratch shared tile (deltas are
+value-independent and shift-invariant across tile origins) and scaled
+by the tile count; staging and DRAM traffic is priced block for block
+with the driver's arithmetic.  Fault injection and ABFT need the
+per-tile execution this path skips, so :func:`run_vector_sweep` refuses
+a device with an injector (engines reject ``verify=`` up front).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.rdg import RDGTileCompute
 from repro.errors import BackendError
@@ -54,6 +61,7 @@ from repro.tcu.program import (
     execute_program_1d,
 )
 from repro.tcu.warp import Warp
+from repro.telemetry.health import current_beat
 from repro.telemetry.spans import TRACER
 
 __all__ = ["VectorProgram", "build_vector_program", "run_vector_sweep"]
@@ -61,43 +69,104 @@ __all__ = ["VectorProgram", "build_vector_program", "run_vector_sweep"]
 _FP64_BYTES = 8
 _STORE_LANES = 32
 
-#: max flat offset a 1D tile reads past its base, plus one
-#: (k-block kb, element (r, q) -> base + 4*kb + 8*q + r)
-_1D_TAIL = 56
+#: per-thread work buffer of :func:`_scratch`, and the most it keeps
+_ARENA = threading.local()
+_ARENA_BYTES = 16 << 20
+
+#: per residue: the MMA chunks of the chain, each a tuple of
+#: ``(input offset, weight)`` taps in k order
+Chains = tuple[tuple[tuple[tuple[int, float], ...], ...], ...]
 
 
-class _ProbeRecorder:
-    """Collects per-instruction counter deltas from one probe tile."""
+def _round_up(x: int, to: int) -> int:
+    return -(-x // to) * to
 
-    __slots__ = ("deltas",)
 
-    def __init__(self) -> None:
-        self.deltas: list[EventCounters] = []
+def _chains(weights, pad: int, residues: int, chunk_of) -> Chains:
+    """Group the nonzero band taps of one weight vector into MMA chunks.
 
-    def record(self, ins, ns: int, delta: EventCounters) -> None:
-        self.deltas.append(delta)
+    Output positions ``s mod residues`` read input ``s + pad + t`` for
+    tap ``t``; ``chunk_of(s + pad + t)`` names the MMA chunk that holds
+    the product, and chunks run in ascending key order.
+    """
+    taps = [(t, w) for t, w in enumerate(map(float, weights)) if w != 0.0]
+    table = []
+    for s in range(residues):
+        chunks: dict = {}
+        for t, w in taps:
+            chunks.setdefault(chunk_of(s + pad + t), []).append((pad + t, w))
+        table.append(tuple(tuple(chunks[k]) for k in sorted(chunks)))
+    return tuple(table)
+
+
+def _scratch(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Uninitialized float64 work arrays carved from this thread's arena.
+
+    Fresh pages are first-touch faulted on every allocation, which
+    costs more than the arithmetic here, so the arrays of one sweep are
+    views of a per-thread buffer that later sweeps reuse.  Buffers over
+    :data:`_ARENA_BYTES` are not kept.  Nothing carved from the arena
+    may be returned to a caller.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    buf = getattr(_ARENA, "buf", None)
+    if buf is None or buf.size < sum(sizes):
+        buf = np.empty(sum(sizes))
+        if buf.nbytes <= _ARENA_BYTES:
+            _ARENA.buf = buf
+    views, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buf[at : at + size].reshape(shape))
+        at += size
+    return views
+
+
+def _accumulate(
+    dst: np.ndarray, src: np.ndarray, chains: Chains, blk, tmp
+) -> None:
+    """``dst[s] += chunk sum`` for every chunk of every residue ``s``.
+
+    ``dst`` and ``src`` are residue-major: ``x[k % S, k // S]`` holds
+    position ``k`` (``S`` residues).  Output ``S*a + s`` reads input
+    ``S*a + s + off``, so every source operand is a contiguous block.
+    ``blk`` and ``tmp`` are work arrays of the shape of ``dst[s]``.
+    """
+    n_res, n = dst.shape[0], dst.shape[1]
+    for s, chunks in enumerate(chains):
+        acc = dst[s]
+        for chunk in chunks:
+            for i, (off, w) in enumerate(chunk):
+                k = s + off
+                x = src[k % n_res, k // n_res : k // n_res + n]
+                if i == 0:
+                    np.multiply(x, w, out=blk)
+                else:
+                    np.multiply(x, w, out=tmp)
+                    blk += tmp
+            acc += blk
 
 
 @dataclass
 class VectorProgram:
-    """A scheduled tile program with batched operands, ready to sweep.
+    """A scheduled tile program compiled to whole-grid tap chains.
 
     Built once per plan by :func:`build_vector_program` (the lowering
-    pipeline's ``vectorize`` pass); holds dense matrix-domain copies of
-    the fragment operands the interpreter indexes per tile, plus a lazy
-    per-``smem_shape`` probe cache of the program's exact per-tile
-    event cost.
+    pipeline's ``vectorize`` pass).  ``step1``/``step2`` hold one
+    :data:`Chains` table per rank-1 term (1D programs: ``step1`` only),
+    plus lazy caches of the program's exact per-tile event cost (per
+    ``smem_shape``) and of whole-sweep events (per geometry).
     """
 
     program: TileProgram
     kind: str  # "2d" | "1d"
-    #: 2D: (term, rb, kb) -> (8, 4) banded-U block
-    u_ops: dict = field(repr=False)
-    #: 2D: (term, wb, ob, half) -> (4, 8) banded-V block (half 0 = "lo")
-    v_ops: dict = field(repr=False)
-    #: scalar apex weights, indexed by the apex instruction's ``scalar``
-    scalar_weights: tuple = ()
+    radius: int
+    step1: tuple[Chains, ...] = field(repr=False)
+    step2: tuple[Chains, ...] = field(default=(), repr=False)
+    #: scalar apex weights, in apex-instruction order
+    scalar_weights: tuple[float, ...] = ()
     _probe_cache: dict = field(default_factory=dict, repr=False)
+    #: (spec, padded shape) -> one sweep's EventCounters
+    _sweep_cache: dict = field(default_factory=dict, repr=False)
 
     # -- per-tile event cost ------------------------------------------------
     def probe(
@@ -115,185 +184,160 @@ class VectorProgram:
             counters = EventCounters()
             warp = Warp(counters)
             smem = SharedMemory(smem_shape, counters, name="probe")
-            recorder = _ProbeRecorder()
+            deltas: list[EventCounters] = []
+            recorder = SimpleNamespace(record=lambda ins, ns, d: deltas.append(d))
             if self.kind == "1d":
                 execute_program_1d(self.program, warp, smem, 0, recorder)
             else:
                 execute_program(self.program, warp, smem, 0, 0, recorder)
-            cached = (tuple(recorder.deltas), counters.snapshot())
+            cached = (tuple(deltas), counters.snapshot())
             self._probe_cache[smem_shape] = cached
         return cached
 
-    # -- batched instruction walks ------------------------------------------
-    def execute_batch_2d(
-        self, x: np.ndarray, n_tiles: int, profiler=None, deltas=None
-    ) -> np.ndarray:
-        """Run the scheduled program over ``x`` = (n_tiles, k_rows,
-        w_cols) input windows; returns (n_tiles, out_rows, out_cols)."""
-        tile = self.program.tile
-        use_bvs = tile.config.use_bvs
-        radius = tile.radius
-        t_r, t_c = tile.out_rows, tile.out_cols
-        env: dict[str, np.ndarray] = {}
-        out_final: dict[tuple[int, int], np.ndarray] = {}
-        out = np.zeros((x.shape[0], t_r, t_c), dtype=np.float64)
+    # -- whole-grid evaluation ----------------------------------------------
+    def evaluate(self, stack: np.ndarray, lap) -> np.ndarray:
+        """The interiors of a ``(B, R, C)`` stack of padded 2D grids, or
+        of one padded 1D grid stacked as ``(1, 1, n)``."""
+        if self.kind == "1d":
+            return self._evaluate_1d(stack[0, 0], lap)
+        return self._evaluate_2d(stack, lap)
 
-        def step(ins) -> None:
-            if ins.op == "load_x":
-                kb, wb = ins.meta["kb"], ins.meta["wb"]
-                env[ins.dst[0]] = np.ascontiguousarray(
-                    x[:, 4 * kb : 4 * kb + 4, 8 * wb : 8 * wb + 8]
-                )
-            elif ins.op == "mma":
-                ti, rb, kb = ins.meta["term"], ins.meta["rb"], ins.meta["kb"]
-                d = np.matmul(self.u_ops[(ti, rb, kb)], env[ins.srcs[0]])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
-            elif ins.op == "split":
-                t = env[ins.srcs[0]]
-                if use_bvs:
-                    even = np.ascontiguousarray(t[:, :, 0::2])
-                    odd = np.ascontiguousarray(t[:, :, 1::2])
-                else:
-                    even = np.ascontiguousarray(t[:, :, 0:4])
-                    odd = np.ascontiguousarray(t[:, :, 4:8])
-                env[ins.dst[0]], env[ins.dst[1]] = even, odd
-            elif ins.op == "mma2":
-                ti, wb, ob = ins.meta["term"], ins.meta["wb"], ins.meta["ob"]
-                half = 0 if ins.meta["half"] == "lo" else 1
-                d = np.matmul(env[ins.srcs[0]], self.v_ops[(ti, wb, ob, half)])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
-                out_final[(ins.meta["rb"], ob)] = d
-            elif ins.op == "apex":
-                # replicate the interpreter exactly: (re)assign every
-                # output block, then add the scalar apex term over the
-                # whole tile
-                for (rb, ob), acc in out_final.items():
-                    out[:, 8 * rb : 8 * rb + 8, 8 * ob : 8 * ob + 8] = acc
-                w = self.scalar_weights[ins.meta["scalar"]]
-                out[:] += w * x[
-                    :, radius : radius + t_r, radius : radius + t_c
-                ]
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown op {ins.op!r}")
+    def _evaluate_1d(self, padded: np.ndarray, lap) -> np.ndarray:
+        n = padded.shape[0] - 2 * self.radius
+        n4 = -(-n // 4)
+        # the zero-extended grid, residue-major: x[r, a] is point 4a + r
+        x, acc, blk, tmp = _scratch(
+            (4, n4 + _round_up(2 * self.radius + 3, 4) // 4), (4, n4),
+            (n4,), (n4,),
+        )
+        x.fill(0.0)
+        for r in range(4):
+            band = padded[r::4]
+            x[r, : band.shape[0]] = band
+        lap("load_x")
+        acc.fill(0.0)
+        _accumulate(acc, x, self.step1[0], blk, tmp)
+        out = np.empty(4 * n4)
+        out.reshape(n4, 4)[...] = acc.T
+        lap("mma")
+        return out[:n]
 
-        self._walk(step, n_tiles, profiler, deltas)
-
-        if not self.scalar_weights:
-            for (rb, ob), acc in out_final.items():
-                out[:, 8 * rb : 8 * rb + 8, 8 * ob : 8 * ob + 8] = acc
+    def _evaluate_2d(self, padded: np.ndarray, lap) -> np.ndarray:
+        h = self.radius
+        b, r_in, c_in = padded.shape
+        rows, cols = r_in - 2 * h, c_in - 2 * h
+        n4, n8 = -(-rows // 4), -(-cols // 8)
+        g = 8 * n8 + _round_up(2 * h + 7, 8)
+        x, t, tt, out_t, blk1, tmp1, blk2, tmp2, centre = _scratch(
+            (4, n4 + _round_up(2 * h + 3, 4) // 4, b, g),
+            (b, 4 * n4, g),
+            (8, g // 8, b, 4 * n4),
+            (n8, 8, b, 4 * n4),
+            (n4, b, g), (n4, b, g),
+            (n8, b, 4 * n4), (n8, b, 4 * n4),
+            (b, rows, cols),
+        )
+        # the zero-extended grid, rows residue-major: x[r, a] is row 4a + r
+        x.fill(0.0)
+        for r in range(4):
+            band = padded[:, r::4].transpose(1, 0, 2)
+            x[r, : band.shape[0], :, :c_in] = band
+        lap("load_x")
+        t_rows = t.reshape(b, n4, 4, g).transpose(2, 1, 0, 3)
+        # tt[q, d, :, i] is T column 8d + q of row i: columns residue-major
+        t_cols = t.reshape(b, 4 * n4, g // 8, 8).transpose(3, 2, 0, 1)
+        out_t.fill(0.0)
+        out_cols = out_t.transpose(1, 0, 2, 3)
+        for ti, (s1, s2) in enumerate(zip(self.step1, self.step2)):
+            t.fill(0.0)
+            _accumulate(t_rows, x, s1, blk1, tmp1)
+            lap("mma", ti)
+            np.copyto(tt, t_cols)
+            lap("split", ti)
+            _accumulate(out_cols, tt, s2, blk2, tmp2)
+            lap("mma2", ti)
+        out = np.empty((b, rows, cols))
+        out[...] = out_t.reshape(8 * n8, b, 4 * n4).transpose(1, 2, 0)[
+            :, :rows, :cols
+        ]
+        for w in self.scalar_weights:
+            np.multiply(padded[:, h : h + rows, h : h + cols], w, out=centre)
+            out += centre
+        lap("apex")
         return out
-
-    def execute_batch_1d(
-        self,
-        ext: np.ndarray,
-        bases: np.ndarray,
-        n_tiles: int,
-        profiler=None,
-        deltas=None,
-    ) -> np.ndarray:
-        """Run the scheduled 1D program over all tiles of a flat sweep;
-        returns the (n_tiles, 8, 8) accumulator batch."""
-        env: dict[str, np.ndarray] = {}
-        result: np.ndarray | None = None
-        rows = np.arange(4)[:, None]
-        cols = 8 * np.arange(8)[None, :]
-
-        def step(ins) -> None:
-            nonlocal result
-            if ins.op == "load_x":
-                kb = ins.meta["kb"]
-                idx = bases[:, None, None] + 4 * kb + rows + cols
-                env[ins.dst[0]] = ext[idx]
-            elif ins.op == "mma":
-                d = np.matmul(self.u_ops[ins.meta["kb"]], env[ins.srcs[0]])
-                if len(ins.srcs) > 1:
-                    d = d + env[ins.srcs[1]]
-                env[ins.dst[0]] = d
-                if ins.meta.get("final"):
-                    result = d
-            else:  # pragma: no cover - defensive
-                raise ValueError(f"unknown 1D op {ins.op!r}")
-
-        self._walk(step, n_tiles, profiler, deltas)
-        if result is None:
-            raise ValueError("1D program has no final mma instruction")
-        return result
-
-    def _walk(self, step, n_tiles: int, profiler, deltas) -> None:
-        """Step the scheduled instruction list, one batched op each.
-
-        With a profiler, each instruction is charged its wall-time and
-        its probed per-tile event delta scaled by the tile count —
-        integer scaling is exact, so per-term/per-op attribution sums to
-        the interpreter's totals bit-for-bit (at one record per batched
-        instruction instead of one per tile).
-        """
-        instrs = self.program.instrs
-        if profiler is None:
-            for ins in instrs:
-                step(ins)
-            return
-        for ins, delta in zip(instrs, deltas):
-            t0 = time.perf_counter_ns()
-            step(ins)
-            profiler.record(
-                ins,
-                time.perf_counter_ns() - t0,
-                delta.scaled(n_tiles),
-                count=n_tiles,
-            )
 
 
 def build_vector_program(program: TileProgram) -> VectorProgram:
-    """Materialize the batched operands of a scheduled program."""
+    """Compile a scheduled program's weights into tap-chain tables."""
     tile = program.tile
     if isinstance(tile, RDGTileCompute):
-        u_ops = {}
-        v_ops = {}
-        for ti, rows in enumerate(tile._u_frags):
-            for rb, blocks in enumerate(rows):
-                for kb, frag in enumerate(blocks):
-                    u_ops[(ti, rb, kb)] = frag.to_matrix()
-        for ti, wbs in enumerate(tile._v_frags):
-            for wb, obs in enumerate(wbs):
-                for ob, halves in enumerate(obs):
-                    for half, frag in enumerate(halves):
-                        v_ops[(ti, wb, ob, half)] = frag.to_matrix()
-        scalars = tuple(
-            term.scalar_weight for term in tile.decomposition.scalar_terms
-        )
+        terms = tile.decomposition.matrix_terms
+        # the MMA chunks the accumulator split hands Step 2
+        chunk2 = (lambda c: (c // 8, c % 2)) if tile.config.use_bvs else (lambda c: c // 4)
         return VectorProgram(
             program=program,
             kind="2d",
-            u_ops=u_ops,
-            v_ops=v_ops,
-            scalar_weights=scalars,
+            radius=tile.radius,
+            step1=tuple(
+                _chains(t.u, t.pad, 4, lambda c: c // 4) for t in terms
+            ),
+            step2=tuple(_chains(t.v, t.pad, 8, chunk2) for t in terms),
+            scalar_weights=tuple(
+                t.scalar_weight for t in tile.decomposition.scalar_terms
+            ),
         )
-    # 1D engines: one banded-U fragment per k-block
-    u_ops = {kb: frag.to_matrix() for kb, frag in enumerate(tile._u_frags)}
-    return VectorProgram(program=program, kind="1d", u_ops=u_ops, v_ops={})
+    # 1D engines: one banded U over the flat axis, no pad
+    return VectorProgram(
+        program=program,
+        kind="1d",
+        radius=tile.radius,
+        step1=(_chains(tile.weight_vector, 0, 4, lambda c: c // 4),),
+    )
 
 
 # ---------------------------------------------------------------------------
-# the batched sweep driver
+# the sweep driver
 # ---------------------------------------------------------------------------
+def _price_sweep(spec, shape: tuple[int, int], per_tile: EventCounters) -> EventCounters:
+    """One sweep's events: the tiles' probed cost, the block staging as
+    the block driver books it, and the DRAM store of the interior."""
+    rows, cols = spec.interior
+    counters = per_tile.scaled(-(-rows // spec.tile[0]) * -(-cols // spec.tile[1]))
+    counters.global_store_bytes += rows * cols * _FP64_BYTES
+    block_r, block_c = spec.blocked()
+    smem_shape = spec.smem_shape()
+    for br in range(0, rows, block_r):
+        for bc in range(0, cols, block_c):
+            avail_r = min(smem_shape[0], shape[0] - br)
+            avail_c = min(smem_shape[1], shape[1] - bc)
+            if avail_r <= 0 or avail_c <= 0:
+                continue
+            size = avail_r * avail_c
+            counters.global_load_bytes += size * _FP64_BYTES
+            counters.shared_store_requests += max(
+                1, math.ceil(size / _STORE_LANES)
+            )
+            if spec.use_async_copy:
+                counters.async_copies += 1
+            else:
+                counters.register_intermediate_bytes += size * _FP64_BYTES
+    return counters
+
+
 def run_vector_sweep(
-    padded2d: np.ndarray,
+    padded: np.ndarray,
     spec,
     vector: VectorProgram,
     device=None,
     profiler=None,
 ) -> tuple[np.ndarray, EventCounters]:
-    """Sweep one grid with the vectorized backend.
+    """Sweep with the vectorized backend.
 
-    Mirrors :func:`repro.core.sweep.run_block_sweep` — same spec, same
-    return convention, same ``tcu.sweep`` telemetry span — but computes
-    every tile of the sweep in one batched instruction walk and prices
-    the driver's staging/DRAM traffic analytically, block for block.
+    Mirrors :func:`repro.core.sweep.run_block_sweep` (same spec, return
+    convention and ``tcu.sweep`` span) but evaluates every tile at once.
+    ``padded`` is one padded 2D grid (1D: a ``(1, n)`` row) or a ``(B,
+    R, C)`` stack of ``B`` same-shape grids; a stack's events are ``B``
+    times one sweep's.
     """
     from repro.tcu.device import Device
 
@@ -303,81 +347,43 @@ def run_vector_sweep(
             "the vectorized backend does not support fault injection; "
             "use backend='interpreter'"
         )
-    start = device.snapshot()
-    counters = device.counters
+    stack = padded.reshape((-1,) + padded.shape[-2:])
+    n_grids = stack.shape[0]
     rows, cols = spec.interior
-    t_r, t_c = spec.tile
-    block_r, block_c = spec.blocked()
     smem_shape = spec.smem_shape()
+    n_tiles = -(-rows // spec.tile[0]) * -(-cols // spec.tile[1])
+    deltas, per_tile = vector.probe(smem_shape)
     device.peak_shared_bytes = max(
         device.peak_shared_bytes,
         smem_shape[0] * smem_shape[1] * _FP64_BYTES,
     )
+    key = (spec, stack.shape[1:])
+    sweep = vector._sweep_cache.get(key)
+    if sweep is None:
+        sweep = vector._sweep_cache[key] = _price_sweep(spec, stack.shape[1:], per_tile)
 
     with TRACER.span(
         "tcu.sweep", category="tcu", ndim=spec.ndim, shape=spec.shape_label
     ) as span:
-        # -- staging traffic, priced block-for-block ------------------------
-        for br in range(0, rows, block_r):
-            for bc in range(0, cols, block_c):
-                avail_r = min(smem_shape[0], padded2d.shape[0] - br)
-                avail_c = min(smem_shape[1], padded2d.shape[1] - bc)
-                if avail_r <= 0 or avail_c <= 0:
-                    continue
-                size = avail_r * avail_c
-                counters.global_load_bytes += size * _FP64_BYTES
-                counters.shared_store_requests += max(
-                    1, math.ceil(size / _STORE_LANES)
-                )
-                if spec.use_async_copy:
-                    counters.async_copies += 1
-                else:
-                    counters.register_intermediate_bytes += size * _FP64_BYTES
-
-        # -- all tiles at once ----------------------------------------------
-        n_a = -(-rows // t_r)
-        n_b = -(-cols // t_c)
-        n_tiles = n_a * n_b
-        deltas, per_tile = vector.probe(smem_shape)
-
-        if vector.kind == "1d":
-            k_rows = vector.program.tile.k_rows
-            ext = np.zeros(
-                (n_b - 1) * t_c + k_rows + _1D_TAIL, dtype=np.float64
-            )
-            flat = padded2d.reshape(-1)
-            ext[: flat.shape[0]] = flat
-            bases = np.arange(n_b) * t_c
-            accs = vector.execute_batch_1d(
-                ext, bases, n_tiles, profiler, deltas
-            )
-            # accumulator (r, q) holds output base + 8*q + r
-            full = np.ascontiguousarray(accs.transpose(0, 2, 1)).reshape(-1)
-            out = np.ascontiguousarray(full[:cols]).reshape(1, cols)
-        else:
-            tile = vector.program.tile
-            k_rows, w_cols = tile.k_rows, tile.w_cols
-            ext = np.zeros(
-                ((n_a - 1) * t_r + k_rows, (n_b - 1) * t_c + w_cols),
-                dtype=np.float64,
-            )
-            ext[: padded2d.shape[0], : padded2d.shape[1]] = padded2d
-            windows = sliding_window_view(ext, (k_rows, w_cols))[
-                ::t_r, ::t_c
-            ]
-            x = np.ascontiguousarray(
-                windows.reshape(n_tiles, k_rows, w_cols)
-            )
-            tiles = vector.execute_batch_2d(x, n_tiles, profiler, deltas)
-            full = tiles.reshape(n_a, n_b, t_r, t_c).transpose(0, 2, 1, 3)
-            out = np.ascontiguousarray(
-                full.reshape(n_a * t_r, n_b * t_c)[:rows, :cols]
-            )
-
-        counters += per_tile.scaled(n_tiles)
-        counters.global_store_bytes += rows * cols * _FP64_BYTES
-        events = device.events_since(start)
+        # lap(op, term) ends a fused stage, which is charged the wall time
+        # since the previous mark
+        marks = [(None, time.perf_counter_ns())]
+        lap = lambda op, term=None: marks.append(((op, term), time.perf_counter_ns()))
+        out = vector.evaluate(stack, lap).reshape(padded.shape[:-2] + (rows, cols))
+        events = sweep.scaled(n_grids)
+        device.counters += events
         span.add_events(events)
+    beat = current_beat()
+    if beat is not None:
+        beat(n_tiles * n_grids, n_tiles)  # one-shot: all tiles at once
     if profiler is not None:
-        profiler.note_sweep(spec, events)
+        stage_ns: dict = {}
+        for (stage, t1), (_, t0) in zip(marks[1:], marks):
+            stage_ns[stage] = stage_ns.get(stage, 0) + t1 - t0
+        count = n_tiles * n_grids
+        for ins, delta in zip(vector.program.instrs, deltas):
+            ns = stage_ns.pop((ins.op, ins.meta.get("term")), 0)
+            profiler.record(ins, ns, delta.scaled(count), count=count)
+        for _ in range(n_grids):
+            profiler.note_sweep(spec, sweep)
     return out, events

@@ -51,6 +51,7 @@ from repro.parallel.checkpoint import (
     CheckpointError,
     CheckpointHalt,
     ClusterCheckpoint,
+    NumericsMismatchError,
     list_checkpoints,
     load_checkpoint,
     save_checkpoint,
@@ -88,6 +89,7 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointError",
     "CheckpointHalt",
+    "NumericsMismatchError",
     "ClusterCheckpoint",
     "save_checkpoint",
     "load_checkpoint",

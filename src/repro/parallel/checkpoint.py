@@ -13,7 +13,9 @@ continue *bit-identically*:
 * the round index and phase schedule;
 * the fault injector's firing clocks (one-shot faults already spent
   before the checkpoint must not re-fire after a resume);
-* the run's ``trace_id`` (a resumed run continues the same trace).
+* the run's ``trace_id`` (a resumed run continues the same trace);
+* ``MMA_ORDER_VERSION``, the numerics identity a resume must share
+  (:func:`load_checkpoint` refuses others: :class:`NumericsMismatchError`).
 
 The manifest is content-hashed over the plan key, round index, block
 bytes, and ledger — :func:`load_checkpoint` refuses a tampered or
@@ -38,12 +40,14 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ReproError
+from repro.tcu.mma import MMA_ORDER_VERSION
 from repro.telemetry.log import emit as emit_event
 from repro.telemetry.metrics import REGISTRY
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
+    "NumericsMismatchError",
     "CheckpointHalt",
     "CheckpointConfig",
     "ClusterCheckpoint",
@@ -58,6 +62,10 @@ CHECKPOINT_SCHEMA = "repro.parallel.checkpoint/v1"
 
 class CheckpointError(ReproError):
     """A checkpoint could not be saved, found, or verified."""
+
+
+class NumericsMismatchError(CheckpointError):
+    """The checkpoint was written under another MMA arithmetic order."""
 
 
 class CheckpointHalt(ReproError):
@@ -215,6 +223,7 @@ def save_checkpoint(
         "trace_id": trace_id,
         "fault_state": fault_state,
         "meta": meta or {},
+        "mma_order_version": MMA_ORDER_VERSION,
         "content_hash": content_hash,
     }
     tmp_npz = npz_path + ".tmp"
@@ -311,6 +320,13 @@ def load_checkpoint(
         raise CheckpointError(
             f"unsupported checkpoint schema {manifest.get('schema')!r} "
             f"(expected {CHECKPOINT_SCHEMA!r})"
+        )
+    version = manifest.get("mma_order_version")
+    if version != MMA_ORDER_VERSION:
+        raise NumericsMismatchError(
+            f"checkpoint {json_path!r} was written under MMA order "
+            f"version {version!r}; this build computes with version "
+            f"{MMA_ORDER_VERSION}, so a resume would not be bit-identical"
         )
     try:
         with np.load(npz_path) as npz:

@@ -7,12 +7,13 @@ Three backends execute a compiled plan:
   *measured* by stepping fragments one tile at a time.  The reference
   semantics, and the only backend that composes with ABFT verification
   and fault injection.
-* ``vectorized`` — batched NumPy over whole tile sweeps: all tiles of a
-  rank-1 term at once via broadcast ``matmul``, with the banded U/V
-  operands materialized once per plan and staging traffic priced
-  analytically.  Bit-identical grids *and* EventCounters to the
-  interpreter (the schedule-equivalence suite gates this), an order of
-  magnitude faster in wall-clock.
+* ``vectorized`` — the same fixed-order MMA chain evaluated over the
+  whole grid with elementwise NumPy (no ``matmul``, so no BLAS
+  dependence), counters derived by probe-and-scale and staging traffic
+  priced analytically.  Byte-identical grids *and* identical
+  EventCounters to the interpreter on every host (the
+  schedule-equivalence suite gates this), two orders of magnitude
+  faster in wall-clock.
 * ``oracle`` — the pre-lowering eager tile math, bypassing the scheduled
   program entirely.  The correctness oracle the property suite checks
   both other backends against; supersedes the deprecated
@@ -85,7 +86,7 @@ register_backend(
 register_backend(
     ExecutionBackend(
         name="vectorized",
-        description="batched NumPy over whole tile sweeps",
+        description="whole-grid fixed-order MMA chain",
         counters="derived",
         supports_faults=False,
     )
@@ -215,13 +216,21 @@ def shim_oracle(oracle, backend: str | None, stacklevel: int = 3) -> str | None:
     return backend
 
 
-def engine_backend(backend: str | None, oracle: bool = False) -> str:
+def engine_backend(
+    backend: str | None, oracle: bool = False, faults: bool = False
+) -> str:
     """Resolve an engine-level ``backend=``/``oracle=`` pair.
 
     Engines keep a plain ``oracle`` flag (they sit below the runtime
-    shims); an explicit ``backend`` wins over it.
+    shims); an explicit ``backend`` wins over it.  ``faults`` (the call
+    passed ``verify``/``policy``/``report``) on a backend without fault
+    support is a typed :class:`BackendError`.
     """
     if backend is None:
         return "oracle" if oracle else "interpreter"
-    get_backend(backend)
+    if not get_backend(backend).supports_faults and faults:
+        raise BackendError(
+            f"the {backend} backend does not support ABFT verification "
+            "or fault recovery; use backend='interpreter'"
+        )
     return backend

@@ -26,6 +26,7 @@ from repro.tcu.fragment import Fragment
 from repro.tcu.trace import maybe_trace
 from repro.tcu.layouts import WARP_SIZE, FragmentKind, owner_of
 from repro.tcu.memory import GlobalMemory, SharedMemory
+from repro.tcu.mma import mma_m8n8k4
 
 __all__ = ["Warp", "BVS_EVEN_ODD_ORDER"]
 
@@ -102,7 +103,8 @@ class Warp:
         b: Fragment,
         acc: Fragment | None = None,
     ) -> Fragment:
-        """``D = A @ B + C`` on the tensor core (one MMA instruction)."""
+        """``D = C + A @ B`` on the tensor core (one MMA instruction), in
+        the fixed FP64 order of :func:`repro.tcu.mma.mma_m8n8k4`."""
         if a.kind is not FragmentKind.A:
             raise TypeError(f"left operand must be an A fragment, got {a.kind}")
         if b.kind is not FragmentKind.B:
@@ -113,9 +115,8 @@ class Warp:
             a, b, acc = self.injector.on_mma(a, b, acc)
         self.counters.mma_ops += 1
         maybe_trace(self.counters, "mma")
-        d = a.to_matrix() @ b.to_matrix()
-        if acc is not None:
-            d = d + acc.to_matrix()
+        c = None if acc is None else acc.to_matrix()
+        d = mma_m8n8k4(a.to_matrix(), b.to_matrix(), c)
         return Fragment.from_matrix(FragmentKind.ACC, d)
 
     def cuda_core_axpy(self, out: np.ndarray, alpha: float, x: np.ndarray) -> None:

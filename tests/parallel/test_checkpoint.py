@@ -12,6 +12,7 @@ from repro.parallel.checkpoint import (
     CheckpointConfig,
     CheckpointError,
     CheckpointHalt,
+    NumericsMismatchError,
     list_checkpoints,
     load_checkpoint,
     save_checkpoint,
@@ -19,6 +20,7 @@ from repro.parallel.checkpoint import (
 from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
 from repro.stencil.kernels import get_kernel
+from repro.tcu.mma import MMA_ORDER_VERSION
 
 FAST_POLICY = RecoveryPolicy(
     shard_timeout_s=20.0, shard_retries=2, backoff_base_s=0.001,
@@ -111,6 +113,52 @@ class TestSaveLoadRoundTrip:
         manifest.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="content verification"):
             load_checkpoint(str(tmp_path))
+
+    def _save_tiny(self, tmp_path, rng):
+        save_checkpoint(
+            directory=str(tmp_path),
+            plan_key="k" * 64,
+            round_index=0,
+            phases=(1,),
+            steps=1,
+            exchanged_bytes=0,
+            round_log=[],
+            blocks={0: rng.normal(size=(3, 3))},
+            mesh=(1,),
+            global_shape=(3, 3),
+        )
+        return tmp_path / "ckpt-000000.json"
+
+    def test_manifest_records_mma_order_version(self, tmp_path, rng):
+        manifest = self._save_tiny(tmp_path, rng)
+        doc = json.loads(manifest.read_text())
+        assert doc["mma_order_version"] == MMA_ORDER_VERSION
+        load_checkpoint(str(tmp_path))  # same version: accepted
+
+    @pytest.mark.parametrize("version", [MMA_ORDER_VERSION + 1, None])
+    def test_other_mma_order_version_refused(self, tmp_path, rng, version):
+        manifest = self._save_tiny(tmp_path, rng)
+        doc = json.loads(manifest.read_text())
+        if version is None:
+            del doc["mma_order_version"]  # written before the field existed
+        else:
+            doc["mma_order_version"] = version
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(NumericsMismatchError, match="MMA order"):
+            load_checkpoint(str(tmp_path))
+
+    def test_cli_resume_refuses_other_mma_order_version(
+        self, tmp_path, rng, capsys
+    ):
+        from repro.cli import main
+
+        manifest = self._save_tiny(tmp_path, rng)
+        doc = json.loads(manifest.read_text())
+        doc["mma_order_version"] = MMA_ORDER_VERSION + 1
+        manifest.write_text(json.dumps(doc))
+        rc = main(["cluster", "resume", "--checkpoint-dir", str(tmp_path)])
+        assert rc == 2
+        assert "MMA order" in capsys.readouterr().err
 
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):

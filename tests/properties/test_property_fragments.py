@@ -9,6 +9,7 @@ from repro.tcu.counters import EventCounters
 from repro.tcu.fragment import Fragment
 from repro.tcu.layouts import FP64_FRAGMENT_SHAPES, FragmentKind
 from repro.tcu.warp import Warp
+from tests.conftest import assert_same_bits
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -29,14 +30,25 @@ class TestFragmentProperties:
     @given(matrix(FragmentKind.A), matrix(FragmentKind.B), matrix(FragmentKind.ACC))
     @settings(max_examples=60, deadline=None)
     def test_mma_exactness(self, a, b, c):
-        """The simulated MMA is bit-identical to the dense product."""
+        """The simulated MMA is bit-identical to the fixed-order product
+        ``((((+0 + a0*b0) + a1*b1) + a2*b2) + a3*b3) + c``, evaluated here
+        one Python float at a time, and matches the dense product up to
+        rounding (whose order a BLAS ``@`` leaves to the host)."""
         warp = Warp(EventCounters())
         d = warp.mma_sync(
             Fragment.from_matrix(FragmentKind.A, a),
             Fragment.from_matrix(FragmentKind.B, b),
             Fragment.from_matrix(FragmentKind.ACC, c),
-        )
-        assert np.array_equal(d.to_matrix(), a @ b + c)
+        ).to_matrix()
+        expected = np.empty((8, 8))
+        for i in range(8):
+            for j in range(8):
+                acc = 0.0
+                for k in range(4):
+                    acc = acc + float(a[i, k]) * float(b[k, j])
+                expected[i, j] = acc + float(c[i, j])
+        assert_same_bits(d, expected)
+        np.testing.assert_allclose(d, a @ b + c, rtol=1e-12, atol=1e-2)
 
     @given(matrix(FragmentKind.ACC))
     @settings(max_examples=60, deadline=None)

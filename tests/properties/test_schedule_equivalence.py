@@ -14,6 +14,7 @@ the oracle bit-for-bit, grids and EventCounters alike, under every
 schedule and ablation this suite sweeps.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.core.lowering import (
 )
 from repro.stencil.reference import reference_apply
 from repro.tcu.program import TileProgram, validate_schedule
+from tests.conftest import assert_same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +90,7 @@ WEIGHTS_2D = repro.radially_symmetric_weights(
 )
 WEIGHTS_1D = repro.box_weights(2, 1)
 WEIGHTS_3D = repro.star_weights(1, 3)
+BOX_2D = repro.get_kernel("Box-2D9P").weights
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +109,9 @@ class TestProgramMatchesOracle:
             vec_out, vec_ev = compiled.apply_simulated(
                 padded, backend="vectorized"
             )
-            assert np.array_equal(out, ref_out)
+            assert_same_bits(out, ref_out)
             assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
+            assert_same_bits(out, vec_out)
             assert ev == vec_ev
             assert np.allclose(
                 out, reference_apply(padded, WEIGHTS_2D), atol=1e-10
@@ -126,9 +129,9 @@ class TestProgramMatchesOracle:
             vec_out, vec_ev = compiled.apply_simulated(
                 padded, backend="vectorized"
             )
-            assert np.array_equal(out, ref_out)
+            assert_same_bits(out, ref_out)
             assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
+            assert_same_bits(out, vec_out)
             assert ev == vec_ev
             assert np.allclose(
                 out, reference_apply(padded, WEIGHTS_1D), atol=1e-10
@@ -146,13 +149,68 @@ class TestProgramMatchesOracle:
             vec_out, vec_ev = compiled.apply_simulated(
                 padded, backend="vectorized"
             )
-            assert np.array_equal(out, ref_out)
+            assert_same_bits(out, ref_out)
             assert ev == ref_ev
-            assert np.array_equal(out, vec_out)
+            assert_same_bits(out, vec_out)
             assert ev == vec_ev
             assert np.allclose(
                 out, reference_apply(padded, WEIGHTS_3D), atol=1e-10
             )
+
+
+# ---------------------------------------------------------------------------
+# zero-heavy inputs: the +0.0 seed and the skipped zero taps
+# ---------------------------------------------------------------------------
+def _zero_heavy(kind, shape, radius):
+    """All-zero, all ``-0.0``, or 90%-zero input with signed zeros.
+
+    A missing ``+0.0`` seed in the fixed-order MMA, or a zero tap the
+    vectorized backend skips inexactly, shows up here as a flipped sign
+    bit that ``np.array_equal`` would not see.
+    """
+    if kind == "zeros":
+        x = np.zeros(shape)
+    elif kind == "negzeros":
+        x = np.full(shape, -0.0)
+    else:
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=shape)
+        x[rng.random(shape) < 0.9] = 0.0
+        x[rng.random(shape) < 0.5] *= -1.0  # half the zeros become -0.0
+    return np.pad(x, radius, constant_values=-0.0)
+
+
+class TestSignedZeroInputs:
+    @pytest.mark.parametrize("kind", ["zeros", "negzeros", "mostly_zero"])
+    @pytest.mark.parametrize("use_bvs", [True, False])
+    @pytest.mark.parametrize(
+        "weights,shape",
+        [
+            (WEIGHTS_1D, (130,)),
+            # all taps positive: every product of a -0.0 input is -0.0
+            (BOX_2D, (24, 28)),
+            # negated: V taps and apex negative, so +0.0 inputs give -0.0
+            # products in Step 2
+            (dataclasses.replace(BOX_2D, array=-BOX_2D.array), (24, 28)),
+            (WEIGHTS_2D, (24, 28)),
+            (repro.get_kernel("Star-2D13P").weights, (20, 18)),
+            (WEIGHTS_3D, (3, 10, 12)),
+            (repro.get_kernel("Box-3D27P").weights, (3, 10, 12)),
+        ],
+        ids=["1d", "2d-box", "2d-negbox", "2d-pma", "2d-svd", "3d-star", "3d-box"],
+    )
+    def test_backends_agree_bitwise(self, weights, shape, use_bvs, kind):
+        padded = _zero_heavy(kind, shape, weights.radius)
+        config = OptimizationConfig(use_bvs=use_bvs)
+        compiled = repro.compile(weights, config=config, cache=None)
+        out, ev = compiled.apply_simulated(padded, backend="interpreter")
+        for backend in ("vectorized", "oracle"):
+            other, other_ev = compiled.apply_simulated(padded, backend=backend)
+            assert_same_bits(out, other)
+            assert ev == other_ev
+        if kind != "mostly_zero":
+            # every accumulator chain starts from +0.0: no -0.0 survives
+            assert not np.signbit(out).any()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +232,7 @@ class TestSchedulesAgree:
             (i.op,) + i.dst for i in shuffled.program.instrs
         ) == sorted((i.op,) + i.dst for i in base.program.instrs)
         out1, ev1 = shuffled.apply_simulated(padded)
-        assert np.array_equal(out0, out1)
+        assert_same_bits(out0, out1)
         assert ev0 == ev1
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -188,7 +246,7 @@ class TestSchedulesAgree:
         config = OptimizationConfig(schedule=_shuffle_name(seed))
         shuffled = repro.compile(WEIGHTS_1D, config=config, cache=None)
         out1, ev1 = shuffled.apply_simulated(padded)
-        assert np.array_equal(out0, out1)
+        assert_same_bits(out0, out1)
         assert ev0 == ev1
 
     def test_3d_prefetch_equals_eager(self):
@@ -200,7 +258,8 @@ class TestSchedulesAgree:
             out, ev = compiled.apply_simulated(padded)
             outs.append(out)
             evs.append(ev)
-        assert all(np.array_equal(outs[0], o) for o in outs[1:])
+        for o in outs[1:]:
+            assert_same_bits(outs[0], o)
         assert all(evs[0] == e for e in evs[1:])
 
 
@@ -217,7 +276,7 @@ class TestOracleWiring:
         padded = _grid((16, 16), WEIGHTS_2D.radius)
         out, ev = compiled.apply_simulated(padded)
         ref_out, ref_ev = compiled.apply_simulated(padded, backend="oracle")
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
     def test_program_is_exposed_and_scheduled(self):

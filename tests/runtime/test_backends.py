@@ -30,6 +30,7 @@ from repro.runtime.backends import (
 )
 from repro.runtime.plan import plan_key
 from repro.stencil.kernels import get_kernel
+from tests.conftest import assert_same_bits
 
 
 def _padded(weights, shape, seed=0):
@@ -107,7 +108,7 @@ class TestBackendEquivalence:
         out0, ev0 = results["interpreter"]
         for b in ("vectorized", "oracle"):
             out, ev = results[b]
-            assert np.array_equal(out0, out), b
+            assert_same_bits(out0, out)
             assert ev0 == ev, b
 
     @pytest.mark.parametrize("schedule", ["eager", "prefetch"])
@@ -118,7 +119,7 @@ class TestBackendEquivalence:
         padded = _padded(k.weights, (24, 28))
         out_i, ev_i = compiled.apply_simulated(padded)
         out_v, ev_v = compiled.apply_simulated(padded, backend="vectorized")
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v
 
     def test_compiled_in_backend_is_apply_default(self):
@@ -129,7 +130,7 @@ class TestBackendEquivalence:
         padded = _padded(k.weights, (16, 24))
         out_v, ev_v = compiled.apply_simulated(padded)  # no backend= arg
         out_i, ev_i = reference.apply_simulated(padded)
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v
 
     def test_sharded_backend_equivalence(self):
@@ -140,7 +141,7 @@ class TestBackendEquivalence:
         out_v, ev_v = compiled.apply_simulated(
             padded, shards=3, backend="vectorized"
         )
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v
 
     def test_cuda_core_plan_falls_back_silently(self):
@@ -153,7 +154,7 @@ class TestBackendEquivalence:
         padded = _padded(k.weights, (16, 16))
         out_i, ev_i = compiled.apply_simulated(padded)
         out_v, ev_v = compiled.apply_simulated(padded, backend="vectorized")
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v
 
 
@@ -180,7 +181,7 @@ class TestFaultModeRules:
         ref_out, ref_ev = repro.compile(k.weights, cache=None).apply_simulated(
             padded, verify="abft"
         )
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
     def test_resolve_backend_rules_directly(self, monkeypatch):
@@ -210,7 +211,7 @@ class TestOracleDeprecation:
         ref_out, ref_ev = compiled.apply_simulated(padded, backend="oracle")
         with pytest.warns(DeprecationWarning, match="oracle= parameter"):
             out, ev = compiled.apply_simulated(padded, oracle=True)
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
     def test_facade_oracle_false_warns_but_runs_default(self):
@@ -220,7 +221,7 @@ class TestOracleDeprecation:
         ref_out, ref_ev = compiled.apply_simulated(padded)
         with pytest.warns(DeprecationWarning, match="oracle= parameter"):
             out, ev = compiled.apply_simulated(padded, oracle=False)
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
     def test_executor_oracle_warns(self):
@@ -239,7 +240,7 @@ class TestOracleDeprecation:
             out, ev = compiled.apply_simulated(
                 padded, oracle=True, backend="vectorized"
             )
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
     def test_no_warning_without_oracle_argument(self, recwarn):
@@ -313,7 +314,7 @@ class TestEnvDefault:
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
         compiled = repro.compile(k.weights, cache=None)
         out, ev = compiled.apply_simulated(padded)
-        assert np.array_equal(out, ref_out)
+        assert_same_bits(out, ref_out)
         assert ev == ref_ev
 
 
@@ -333,7 +334,7 @@ class TestShapeProperty:
         padded = _padded(k.weights, (rows, cols), seed=seed)
         out_i, ev_i = compiled.apply_simulated(padded)
         out_v, ev_v = compiled.apply_simulated(padded, backend="vectorized")
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v
 
     @given(
@@ -347,5 +348,5 @@ class TestShapeProperty:
         padded = _padded(k.weights, (n,), seed=seed)
         out_i, ev_i = compiled.apply_simulated(padded)
         out_v, ev_v = compiled.apply_simulated(padded, backend="vectorized")
-        assert np.array_equal(out_i, out_v)
+        assert_same_bits(out_i, out_v)
         assert ev_i == ev_v

@@ -82,6 +82,51 @@ class TestBitExactAttribution:
         assert profiler.instr_count() > 0
 
 
+class TestVectorizedAttribution:
+    """The vectorized backend derives per-instruction events from a
+    one-tile probe times the tile count, and charges wall time per
+    fused stage; the books must close exactly as on the interpreter."""
+
+    @pytest.mark.parametrize(
+        "kernel", ["Heat-1D", "Box-2D9P", "Star-2D13P", "Heat-3D"]
+    )
+    def test_attribution_sums_to_sweep_totals(self, kernel):
+        plan = compile_stencil(get_kernel(kernel).weights).plan
+        padded = _padded(plan)
+        _, bare = plan.engine.apply_simulated(padded, backend="vectorized")
+        profile = profile_plan(plan, padded, backend="vectorized")
+        assert profile.total_events.as_dict() == bare.as_dict()
+        by_op = EventCounters()
+        for stats in profile.by_op.values():
+            by_op += stats.events
+        by_term = EventCounters()
+        for stats in profile.by_term.values():
+            by_term += stats.events
+        assert by_term.as_dict() == by_op.as_dict()
+        assert (by_op + profile.driver_events).as_dict() == bare.as_dict()
+        assert 0 < profile.program_time_ns <= profile.wall_time_ns
+
+    @pytest.mark.parametrize("kernel", ["Heat-1D", "Star-2D13P", "Heat-3D"])
+    def test_matches_interpreter_row_for_row(self, kernel):
+        plan = compile_stencil(get_kernel(kernel).weights).plan
+        padded = _padded(plan)
+        vec = profile_plan(plan, padded, backend="vectorized")
+        ref = profile_plan(plan, padded, backend="interpreter")
+        assert vec.n_sweeps == ref.n_sweeps
+        for rows, ref_rows in ((vec.by_op, ref.by_op), (vec.by_term, ref.by_term)):
+            assert set(rows) == set(ref_rows)
+            for key, stats in rows.items():
+                assert stats.count == ref_rows[key].count, key
+                assert stats.events == ref_rows[key].events, key
+
+    def test_stage_time_charged_to_every_fused_stage(self, box_plan):
+        profile = profile_plan(
+            box_plan, _padded(box_plan), backend="vectorized"
+        )
+        for op in ("load_x", "mma", "split", "mma2", "apex"):
+            assert profile.by_op[op].time_ns > 0, op
+
+
 class TestAttributionSemantics:
     def test_mma_events_charged_to_mma_opcodes_only(self, box_plan):
         profile = profile_plan(box_plan, _padded(box_plan))
