@@ -62,7 +62,7 @@ def _best_of(fn, rounds: int = 3) -> float:
 def _dispatch_cost_seconds(compiled, padded) -> float:
     """Per-call cost ``verify=None`` adds to the facade dispatch.
 
-    Stubs ``compiled.runtime.apply_simulated``, then times the facade
+    Stubs ``compiled.runtime.sweep``, then times the facade
     with all fault arguments at their defaults against the bare stub;
     the difference bounds everything the fault-tolerance feature added
     to the disabled path (the ``fault_mode`` flag test and argument
@@ -71,11 +71,10 @@ def _dispatch_cost_seconds(compiled, padded) -> float:
     out = padded[1:-1, 1:-1].copy()
     events = EventCounters()
 
-    def stub(padded, device=None, oracle=False, profiler=None, **kwargs):
+    def stub(padded, backend, device=None, profiler=None, **kwargs):
         return out, events
 
-    real = compiled.runtime.apply_simulated
-    compiled.runtime.apply_simulated = stub
+    compiled.runtime.sweep = stub
     try:
         best_facade = best_stub = float("inf")
         for _ in range(5):
@@ -85,10 +84,10 @@ def _dispatch_cost_seconds(compiled, padded) -> float:
             best_facade = min(best_facade, time.perf_counter() - start)
             start = time.perf_counter()
             for _ in range(WRAPPER_CALLS):
-                stub(padded)
+                stub(padded, "interpreter")
             best_stub = min(best_stub, time.perf_counter() - start)
     finally:
-        compiled.runtime.apply_simulated = real
+        del compiled.runtime.sweep
     return max(best_facade - best_stub, 0.0) / WRAPPER_CALLS
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine2d import LoRAStencil2D
+from repro.core.functional import apply_decomposition
 from repro.core.lowrank import pyramidal_decompose, svd_decompose
 from repro.core.rdg import RDGTileCompute
 from repro.experiments.report import format_table
@@ -81,7 +81,7 @@ def test_pma_never_more_expensive(benchmark):
             x = rng.normal(size=(16 + 2 * h, 16 + 2 * h))
             ref = reference_apply(x, w)
             for d in (pma, svd):
-                out = LoRAStencil2D(mat, decomposition=d).apply(x)
+                out = apply_decomposition(d, x)
                 worst = max(worst, float(np.abs(out - ref).max()))
         return worst
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import FootprintScale
-from repro.core.engine2d import LoRAStencil2D
+import repro
 from repro.experiments.report import format_table
 from repro.perf.costmodel import gstencil_per_second
 from repro.stencil.reference import reference_apply
@@ -45,7 +45,8 @@ def test_tile_size_frontier(benchmark, write_result):
             x = rng.normal(size=(48 + 2 * h, 48 + 2 * h))
             ref = reference_apply(x, w)
             for ts in TILES:
-                eng = LoRAStencil2D(w.as_matrix(), tile_shape=ts)
+                eng = repro.compile(w, tile_shape=ts)
+                tile = eng.plan.kernel
                 out, cnt = eng.apply_simulated(x)
                 assert np.abs(out - ref).max() < 1e-10
                 fp = FootprintScale(cnt, points=48 * 48)
@@ -54,8 +55,8 @@ def test_tile_size_frontier(benchmark, write_result):
                     [
                         str(h),
                         f"{ts[0]}x{ts[1]}",
-                        f"{eng.tile.fragment_loads_per_tile / eng.tile.points_per_tile:.4f}",
-                        f"{eng.tile.mma_per_tile / eng.tile.points_per_tile:.4f}",
+                        f"{tile.fragment_loads_per_tile / tile.points_per_tile:.4f}",
+                        f"{tile.mma_per_tile / tile.points_per_tile:.4f}",
                         f"{g:.2f}",
                     ]
                 )
@@ -73,8 +74,8 @@ def test_tile_size_frontier(benchmark, write_result):
     # structural claims: larger tiles always reduce loads per point ...
     for h in RADII:
         w = radially_symmetric_weights(h, 2, rng=np.random.default_rng(h))
-        small = LoRAStencil2D(w.as_matrix(), tile_shape=(8, 8)).tile
-        big = LoRAStencil2D(w.as_matrix(), tile_shape=(24, 24)).tile
+        small = repro.compile(w, tile_shape=(8, 8)).plan.kernel
+        big = repro.compile(w, tile_shape=(24, 24)).plan.kernel
         assert (
             big.fragment_loads_per_tile / big.points_per_tile
             < small.fragment_loads_per_tile / small.points_per_tile

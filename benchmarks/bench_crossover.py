@@ -17,7 +17,7 @@ from repro.analysis.memory_model import memory_ratio
 from repro.baselines.base import FootprintScale
 from repro.baselines.convstencil import ConvStencil2D, ConvStencilMethod
 from repro.baselines.lorastencil import LoRAStencilMethod
-from repro.core.engine2d import LoRAStencil2D
+from repro.runtime import compile as compile_stencil
 from repro.experiments.report import format_table
 from repro.stencil.kernels import BenchmarkKernel
 from repro.stencil.weights import radially_symmetric_weights
@@ -50,8 +50,7 @@ def test_radius_crossover(benchmark, write_result):
             )
             points = GRID[0] * GRID[1]
 
-            lora_eng = LoRAStencil2D(w.as_matrix())
-            _, lora_cnt = lora_eng.apply_simulated(x)
+            _, lora_cnt = compile_stencil(w).apply_simulated(x)
             lora_g = _modelled(lora_cnt, LoRAStencilMethod(kernel), points)
 
             conv_eng = ConvStencil2D(w.as_matrix())
@@ -97,7 +96,7 @@ def test_eq14_tracks_measured_load_ratio(benchmark):
         for h in (1, 2, 3, 4):
             w = radially_symmetric_weights(h, 2, rng=rng)
             x = rng.normal(size=tuple(s + 2 * h for s in GRID))
-            _, lora = LoRAStencil2D(w.as_matrix()).apply_simulated(x)
+            _, lora = compile_stencil(w).apply_simulated(x)
             _, conv = ConvStencil2D(w.as_matrix()).apply_simulated(x)
             out[h] = conv.shared_load_requests / lora.shared_load_requests
         return out

@@ -55,7 +55,7 @@ def test_eq14_memory_model(benchmark, write_result):
 def test_measured_loads_match_model(benchmark):
     """The simulated sweeps issue exactly the modelled load counts."""
     from repro.baselines.convstencil import ConvStencil2D
-    from repro.core.engine2d import LoRAStencil2D
+    import repro
     from repro.stencil.weights import radially_symmetric_weights
 
     h, a, b = 3, 32, 32
@@ -64,7 +64,7 @@ def test_measured_loads_match_model(benchmark):
     x = rng.normal(size=(a + 2 * h, b + 2 * h))
 
     def measure():
-        _, lora = LoRAStencil2D(w.as_matrix()).apply_simulated(x)
+        _, lora = repro.compile(w).apply_simulated(x)
         _, conv = ConvStencil2D(w.as_matrix()).apply_simulated(x)
         return lora, conv
 

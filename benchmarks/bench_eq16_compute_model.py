@@ -39,14 +39,14 @@ def test_eq16_compute_model(benchmark, write_result):
 
 
 def test_measured_mma_match_model(benchmark):
-    from repro.core.engine2d import LoRAStencil2D
+    import repro
     from repro.stencil.weights import radially_symmetric_weights
 
     h, a, b = 3, 32, 32
     rng = np.random.default_rng(0)
     w = radially_symmetric_weights(h, 2, rng=rng)
     x = rng.normal(size=(a + 2 * h, b + 2 * h))
-    eng = LoRAStencil2D(w.as_matrix())
+    eng = repro.compile(w)
     _, cnt = benchmark.pedantic(
         eng.apply_simulated, args=(x,), rounds=1, iterations=1
     )

@@ -91,9 +91,9 @@ def test_functional_apply_throughput(benchmark):
     import numpy as np
 
     k = get_kernel("Box-2D49P")
-    from repro.core.engine2d import LoRAStencil2D
+    from repro.runtime import compile as compile_stencil
 
-    eng = LoRAStencil2D(k.weights.as_matrix())
+    eng = compile_stencil(k.weights)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(1024 + 6, 1024 + 6))
     out = benchmark(eng.apply, x)

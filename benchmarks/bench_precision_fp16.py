@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine2d import LoRAStencil2D
+from repro.runtime import compile as compile_stencil
 from repro.experiments.report import format_table
 from repro.precision import TCStencilFP16, precision_sweep
 from repro.stencil.kernels import get_kernel
@@ -80,12 +80,12 @@ def test_fp16_range_overflow_on_amplifying_kernel(benchmark, write_result):
 
 
 def test_single_sweep_error_comparison(benchmark, write_result):
-    """One sweep head-to-head: FP64 engine vs FP16 pipeline."""
+    """One sweep head-to-head: FP64 plan vs FP16 pipeline."""
     rng = np.random.default_rng(0)
     w = get_kernel("Box-2D49P").weights
     x = rng.normal(size=(64 + 6, 64 + 6))
     ref = reference_apply(x, w)
-    lora = LoRAStencil2D(w.as_matrix())
+    lora = compile_stencil(w)
     tcs = TCStencilFP16(w)
 
     out16 = benchmark(tcs.apply, x)

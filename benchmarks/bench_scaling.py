@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.report import format_table
-from repro.parallel import SimulatedCluster
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.kernels import get_kernel
 
 DEVICES = (1, 2, 4, 8, 16)
@@ -29,7 +29,7 @@ def test_strong_scaling(benchmark, write_result):
 
     def sweep():
         return {
-            n: SimulatedCluster(w, (4096, 4096), _mesh(n)).timings()
+            n: ClusterRuntime(distribute(w, (4096, 4096), _mesh(n))).timings()
             for n in DEVICES
         }
 
@@ -73,17 +73,15 @@ def test_temporal_scaling(benchmark, write_result):
     """
     import numpy as np
 
-    from repro.parallel import run_temporal_blocked
-
     w = get_kernel("Box-2D9P").weights
     blocks = (1, 2, 4, 8)
     shards = (4, 16)
 
     def sweep():
         return {
-            (n, k): SimulatedCluster(w, (4096, 4096), _mesh(n)).timings(
-                steps=16, block_steps=k
-            )
+            (n, k): ClusterRuntime(
+                distribute(w, (4096, 4096), _mesh(n))
+            ).timings(steps=16, block_steps=k)
             for n in shards
             for k in blocks
         }
@@ -105,12 +103,12 @@ def test_temporal_scaling(benchmark, write_result):
     # measured: execute a small grid, count rounds and bytes per config
     rng = np.random.default_rng(7)
     x = rng.normal(size=(256, 256))
-    cluster = SimulatedCluster(w, (256, 256), (2, 2))
+    cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
     measured = {}
     base = None
     for k in blocks:
-        out, exchanged = run_temporal_blocked(cluster, x, 8, k)
-        result = cluster.runtime.last_result
+        result = cluster.run(x, 8, block_steps=k)
+        out, exchanged = result.field, result.exchanged_bytes
         measured[k] = (result.rounds, exchanged)
         if base is None:
             base = out
@@ -150,8 +148,6 @@ def test_overlap_observatory(benchmark, write_result):
     import numpy as np
 
     from repro import telemetry
-    from repro.parallel.cluster import ClusterRuntime
-    from repro.parallel.plan import distribute
     from repro.telemetry.cluster import build_cluster_report
 
     w = get_kernel("Box-2D9P").weights
@@ -217,7 +213,9 @@ def test_weak_scaling(benchmark, write_result):
         out = {}
         for n in (1, 4, 16):
             p, q = _mesh(n)
-            out[n] = SimulatedCluster(w, (1024 * p, 1024 * q), (p, q)).timings()
+            out[n] = ClusterRuntime(
+                distribute(w, (1024 * p, 1024 * q), (p, q))
+            ).timings()
         return out
 
     timings = benchmark.pedantic(sweep, rounds=1, iterations=1)

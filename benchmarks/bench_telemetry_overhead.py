@@ -2,7 +2,7 @@
 
 The observability layer's contract (docs/observability.md): every
 instrumentation point costs one attribute check when telemetry is off,
-so the instrumented facade sweep must track the bare engine sweep to
+so the instrumented facade sweep must track the bare sweep to
 within measurement noise.  This benchmark pins that down on the
 acceptance workload — a 256x256 Box-2D9P simulated sweep — and asserts
 the disabled-path overhead stays under 2%.
@@ -10,15 +10,15 @@ the disabled-path overhead stays under 2%.
 Methodology: a single simulated sweep takes ~1 s here with ±40% machine
 noise (shared box), so the overhead cannot be resolved by subtracting
 two end-to-end timings.  Instead the facade's *wrapper* cost — the span
-check, event attach/absorb gates, and attribute lookups that
-``CompiledStencil.apply_simulated`` adds over a direct engine call — is
-timed in isolation (the runtime underneath is stubbed out, thousands of
-calls, microsecond precision) and divided by the best observed sweep
+check, backend resolution, event attach/absorb gates, and attribute
+lookups that ``CompiledStencil.apply_simulated`` adds over a bare
+``Runtime.sweep`` — is timed in isolation (the sweep underneath is
+stubbed out, thousands of calls, microsecond precision) and divided by the best observed sweep
 time.  End-to-end timings of all three paths are still reported for
 context:
 
-* ``engine`` — ``plan.engine.apply_simulated`` called directly, the
-  PR-1 era hot path (it too passes one disabled span check inside the
+* ``sweep`` — ``Runtime.sweep`` called directly with the backend
+  already resolved (it too passes one disabled span check inside the
   TCU sweep loop's entry);
 * ``facade off`` — ``CompiledStencil.apply_simulated`` with telemetry
   disabled: the instrumented production path;
@@ -66,9 +66,9 @@ def _time_interleaved(fns: list, rounds: int = 4) -> list[float]:
 
 
 def _wrapper_cost_seconds(compiled, padded) -> float:
-    """Per-call cost the facade adds over a direct engine call.
+    """Per-call cost the facade adds over a bare sweep.
 
-    Stubs ``compiled.runtime.apply_simulated`` with a constant return,
+    Stubs ``compiled.runtime.sweep`` with a constant return,
     then times facade-through-stub against the stub alone; the
     difference is exactly the instrumentation layer (span machinery,
     disabled-path gates, argument plumbing).  Min over chunks discards
@@ -77,11 +77,10 @@ def _wrapper_cost_seconds(compiled, padded) -> float:
     out = padded[1:-1, 1:-1].copy()
     events = EventCounters()
 
-    def stub(padded, device=None, oracle=False, profiler=None, **kwargs):
+    def stub(padded, backend, device=None, profiler=None, **kwargs):
         return out, events
 
-    real = compiled.runtime.apply_simulated
-    compiled.runtime.apply_simulated = stub
+    compiled.runtime.sweep = stub
     try:
         best_facade = best_stub = float("inf")
         for _ in range(5):
@@ -91,10 +90,10 @@ def _wrapper_cost_seconds(compiled, padded) -> float:
             best_facade = min(best_facade, time.perf_counter() - start)
             start = time.perf_counter()
             for _ in range(WRAPPER_CALLS):
-                stub(padded)
+                stub(padded, "interpreter")
             best_stub = min(best_stub, time.perf_counter() - start)
     finally:
-        compiled.runtime.apply_simulated = real
+        del compiled.runtime.sweep
     return max(best_facade - best_stub, 0.0) / WRAPPER_CALLS
 
 
@@ -104,9 +103,9 @@ def test_disabled_overhead_under_2pct(benchmark, write_result):
     rng = np.random.default_rng(0)
     padded = rng.normal(size=(GRID + 2 * compiled.radius,) * 2)
 
-    def engine_sweep():
+    def bare_sweep():
         telemetry.disable()
-        compiled.plan.engine.apply_simulated(padded)
+        compiled.runtime.sweep(padded, compiled.plan.backend)
 
     def facade_off():
         telemetry.disable()
@@ -116,25 +115,25 @@ def test_disabled_overhead_under_2pct(benchmark, write_result):
         telemetry.enable()
         compiled.apply_simulated(padded)
 
-    t_engine, t_facade_off, t_facade_on = _time_interleaved(
-        [engine_sweep, facade_off, facade_on]
+    t_sweep, t_facade_off, t_facade_on = _time_interleaved(
+        [bare_sweep, facade_off, facade_on]
     )
     telemetry.disable()
     wrapper = _wrapper_cost_seconds(compiled, padded)
     telemetry.reset()
 
     #: the asserted quantity: isolated wrapper cost vs. one real sweep
-    overhead_off = wrapper / t_engine
+    overhead_off = wrapper / t_sweep
     benchmark(lambda: compiled.apply_simulated(padded))
 
     text = format_table(
         [
-            ["path", "time / sweep", "vs engine (noisy)"],
-            ["engine (direct)", f"{t_engine * 1e3:.1f} ms", "—"],
+            ["path", "time / sweep", "vs bare sweep (noisy)"],
+            ["sweep (direct)", f"{t_sweep * 1e3:.1f} ms", "—"],
             ["facade, telemetry off", f"{t_facade_off * 1e3:.1f} ms",
-             f"{(t_facade_off / t_engine - 1) * 100:+.2f}%"],
+             f"{(t_facade_off / t_sweep - 1) * 100:+.2f}%"],
             ["facade, telemetry on", f"{t_facade_on * 1e3:.1f} ms",
-             f"{(t_facade_on / t_engine - 1) * 100:+.2f}%"],
+             f"{(t_facade_on / t_sweep - 1) * 100:+.2f}%"],
             ["facade wrapper (isolated)", f"{wrapper * 1e6:.2f} us/call",
              f"{overhead_off * 100:+.4f}%"],
         ],

@@ -72,7 +72,7 @@ def test_trace_propagation_disabled_overhead(benchmark, write_result):
     t_sweep = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        compiled.plan.engine.apply_simulated(padded)
+        compiled.runtime.sweep(padded, compiled.plan.backend)
         t_sweep = min(t_sweep, time.perf_counter() - start)
 
     ctx = TraceContext.capture()

@@ -1,7 +1,7 @@
 """Verification: the LoRAStencil stack solves real physics correctly.
 
 Runs the classic grid-refinement study for the 2D heat equation against
-its analytic solution, stepping with the LoRAStencil engine.  The FTCS
+its analytic solution, stepping with a compiled LoRAStencil plan.  The FTCS
 scheme is second-order in dx at fixed mesh ratio; the study confirms
 the full stack (decomposition -> banded MCM -> time integration)
 reproduces that order, and contrasts it with the FP16 TCStencil-style

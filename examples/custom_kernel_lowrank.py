@@ -14,7 +14,8 @@ Run:  python examples/custom_kernel_lowrank.py
 
 import numpy as np
 
-from repro import LoRAStencil2D, pyramidal_decompose, reference_apply
+import repro
+from repro import pyramidal_decompose, reference_apply
 from repro.analysis.compute_model import lorastencil_mma_per_tile
 from repro.analysis.memory_model import (
     convstencil_loads_per_tile,
@@ -62,10 +63,10 @@ def main() -> None:
           f"(Eq. 16 trades compute for memory)")
 
     # run it
-    engine = LoRAStencil2D(w.as_matrix())
+    stencil = repro.compile(w)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40 + 2 * H, 40 + 2 * H))
-    out, events = engine.apply_simulated(x)
+    out, events = stencil.apply_simulated(x)
     ref = reference_apply(x, w)
     print(f"\nsimulated sweep: max |err| vs reference = "
           f"{np.abs(out - ref).max():.2e}")

@@ -11,7 +11,7 @@ Run:  python examples/multi_gpu_scaling.py
 import numpy as np
 
 from repro import get_kernel, reference_iterate
-from repro.parallel import SimulatedCluster
+from repro.parallel import ClusterRuntime, distribute
 
 GRID = 144
 STEPS = 6
@@ -30,23 +30,18 @@ def main() -> None:
 
     base = None
     for mesh in MESHES:
-        cluster = SimulatedCluster(
-            kernel.weights, (GRID, GRID), mesh, boundary="periodic"
-        )
-        out = cluster.run(x0, STEPS)
-        err = np.abs(out - ref).max()
+        plan = distribute(kernel.weights, (GRID, GRID), mesh, boundary="periodic")
+        result = ClusterRuntime(plan).run(x0, STEPS)
+        err = np.abs(result.field - ref).max()
         assert err < 1e-9, err
 
-        timing = SimulatedCluster(
-            kernel.weights, (8192, 8192), mesh, boundary="periodic"
+        timing = ClusterRuntime(
+            distribute(kernel.weights, (8192, 8192), mesh, boundary="periodic")
         ).timings(steps=1)
         if base is None:
             base = timing
-        halo_mb = sum(
-            cluster.halo.bytes_per_exchange(s.rank)
-            for s in cluster.part.subdomains
-        ) / 1e6
-        print(f"{cluster.part.num_devices:>8} {mesh[0]}x{mesh[1]:<4} "
+        halo_mb = result.exchanged_bytes / STEPS / 1e6
+        print(f"{plan.part.num_devices:>8} {mesh[0]}x{mesh[1]:<4} "
               f"{err:>12.2e} {halo_mb:>14.4f} "
               f"{timing.step_s * 1e3:>10.3f}ms "
               f"{timing.speedup_over(base):>7.2f}x")

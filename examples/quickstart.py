@@ -1,6 +1,6 @@
 """Quickstart: run a stencil through LoRAStencil's two execution paths.
 
-Builds the Box-2D49P engine (the paper's 7x7 working example), applies it
+Compiles the Box-2D49P plan (the paper's 7x7 working example), applies it
 with the functional NumPy path and with the warp-level TCU simulation,
 checks both against the reference executor, and prints the hardware
 events the simulated sweep generated.
@@ -10,15 +10,17 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import LoRAStencil2D, get_kernel, reference_apply
+import repro
+from repro import get_kernel, reference_apply
+
 
 def main() -> None:
     kernel = get_kernel("Box-2D49P")
     print(f"Kernel: {kernel.name}  ({kernel.points} points, radius "
           f"{kernel.weights.radius})")
 
-    engine = LoRAStencil2D(kernel.weights.as_matrix())
-    d = engine.decomposition
+    stencil = repro.compile(kernel.weights)
+    d = stencil.plan.decomposition
     print(f"Decomposition: method={d.method}, rank={d.rank}, "
           f"pyramid sizes={[t.size for t in d.terms]}")
 
@@ -27,10 +29,10 @@ def main() -> None:
     x = rng.normal(size=(64 + 2 * h, 64 + 2 * h))  # padded input
 
     # 1. functional fast path (vectorized separable filters)
-    out_fast = engine.apply(x)
+    out_fast = stencil.apply(x)
 
     # 2. faithful warp-level path on the TCU simulator
-    out_sim, events = engine.apply_simulated(x)
+    out_sim, events = stencil.apply_simulated(x)
 
     ref = reference_apply(x, kernel.weights)
     print(f"functional max |err| vs reference: {np.abs(out_fast - ref).max():.2e}")

@@ -1,4 +1,4 @@
-"""3D acoustic wave propagation with the plane-decomposed 3D engine.
+"""3D acoustic wave propagation with a plane-decomposed 3D plan.
 
 Solves the second-order wave equation ``u_tt = c^2 laplacian(u)`` with
 the classic leapfrog update
@@ -14,7 +14,8 @@ Run:  python examples/wave_propagation_3d.py
 
 import numpy as np
 
-from repro import LoRAStencil3D, StencilPattern, StencilWeights, Shape
+import repro
+from repro import StencilPattern, StencilWeights, Shape
 from repro.stencil.reference import reference_apply
 
 N = 48          # grid points per axis
@@ -37,11 +38,11 @@ def laplacian_weights() -> StencilWeights:
 
 def main() -> None:
     lap = laplacian_weights()
-    engine = LoRAStencil3D(lap)
-    print("3D wave equation, leapfrog + LoRAStencil3D Laplacian")
+    stencil = repro.compile(lap)
+    print("3D wave equation, leapfrog + LoRAStencil 3D Laplacian")
     print(f"grid {N}^3, {STEPS} steps, Courant number {COURANT}")
-    print(f"tensor-core planes: {engine.tensor_core_planes}, "
-          f"CUDA-core planes: {engine.cuda_core_planes}")
+    print(f"tensor-core planes: {stencil.plan.tensor_core_planes}, "
+          f"CUDA-core planes: {stencil.plan.cuda_core_planes}")
 
     # Gaussian pressure pulse in the centre
     z, y, x = np.meshgrid(*(np.arange(N),) * 3, indexing="ij")
@@ -52,7 +53,7 @@ def main() -> None:
     c2 = COURANT**2
     front_radius = []
     for step in range(STEPS):
-        lap_u = engine.apply(np.pad(u_curr, 1))
+        lap_u = stencil.apply(np.pad(u_curr, 1))
         u_next = 2.0 * u_curr - u_prev + c2 * lap_u
         u_prev, u_curr = u_curr, u_next
         if step % 15 == 14:
@@ -72,7 +73,7 @@ def main() -> None:
 
     # cross-check one Laplacian application against the reference
     err = np.abs(
-        engine.apply(np.pad(u_curr, 1)) - reference_apply(np.pad(u_curr, 1), lap)
+        stencil.apply(np.pad(u_curr, 1)) - reference_apply(np.pad(u_curr, 1), lap)
     ).max()
     print(f"\nLaplacian max |err| vs reference: {err:.2e}")
     assert err < 1e-10

@@ -23,15 +23,19 @@ matrices, BVS permutation and block schedule once per distinct
 vectorized batches (:meth:`apply_batch`) and sharded simulated sweeps
 with merged event counters.
 
+A plan carries its lowered program — the kernel planes (decomposition,
+gather fragments) and their scheduled tile programs — and every
+simulated sweep is one call of :func:`repro.core.sweep.simulate` over
+it; multi-device runs go through :func:`repro.parallel.distribute` and
+:class:`repro.parallel.ClusterRuntime`.
+
 Subpackages: :mod:`repro.stencil` (substrate), :mod:`repro.tcu`
-(tensor-core simulator), :mod:`repro.core` (RDG/PMA/BVS engines),
+(tensor-core simulator), :mod:`repro.core` (RDG/PMA/BVS lowering and
+sweeps),
 :mod:`repro.runtime` (plans, plan cache, batched/sharded execution),
 :mod:`repro.baselines` (the Fig. 8 line-up), :mod:`repro.perf`
 (A100 cost model), :mod:`repro.analysis` (Eq. 12-16 closed forms),
 :mod:`repro.experiments` (figure/table drivers).
-
-Direct engine construction (``LoRAStencil2D(...)``) still works but is
-deprecated in favour of :func:`repro.compile`.
 """
 
 from repro.errors import (
@@ -61,9 +65,6 @@ from repro.stencil import (
 )
 from repro.core import (
     Decomposition,
-    LoRAStencil1D,
-    LoRAStencil2D,
-    LoRAStencil3D,
     OptimizationConfig,
     Rank1Term,
     fuse_kernel,
@@ -79,7 +80,7 @@ from repro.runtime import (
 from repro.tcu import Device, EventCounters
 from repro.perf import A100, gstencil_per_second
 from repro.core.autotune import autotune_2d
-from repro.parallel import SimulatedCluster, SimulatedCluster3D
+from repro.parallel import ClusterRuntime, distribute
 from repro.precision import TCStencilFP16, precision_sweep
 from repro.codegen import generate_cuda_kernel
 from repro.validation import convergence_study, estimated_order
@@ -117,9 +118,6 @@ __all__ = [
     "decompose",
     "pyramidal_decompose",
     "svd_decompose",
-    "LoRAStencil1D",
-    "LoRAStencil2D",
-    "LoRAStencil3D",
     "OptimizationConfig",
     "fuse_kernel",
     # runtime
@@ -135,8 +133,8 @@ __all__ = [
     "gstencil_per_second",
     # extensions
     "autotune_2d",
-    "SimulatedCluster",
-    "SimulatedCluster3D",
+    "ClusterRuntime",
+    "distribute",
     "TCStencilFP16",
     "precision_sweep",
     "generate_cuda_kernel",

@@ -60,7 +60,7 @@ def compare_occupancy(
     x = rng.normal(size=tuple(s + 2 * h for s in grid))
 
     d_lora = Device()
-    compile_stencil(weights).engine.apply_simulated(x, device=d_lora)
+    compile_stencil(weights).apply_simulated(x, device=d_lora)
     # LoRAStencil covers a 32x64-output block per shared allocation
     block_points = 32 * 64
     lora_bytes = d_lora.peak_shared_bytes

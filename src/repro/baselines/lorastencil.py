@@ -1,6 +1,6 @@
 """LoRAStencil wrapped in the common method interface.
 
-This adapter binds the core engines to a Table II benchmark kernel,
+This adapter binds a compiled plan to a Table II benchmark kernel,
 applying the paper's execution policy:
 
 * 2D radius-1 kernels are temporally fused 3x (Section IV-A) so the
@@ -10,13 +10,13 @@ applying the paper's execution policy:
   fragments busy without fusion, the advantage the paper credits for
   its largest speedups).
 
-Footprints are *measured* by running the simulated engines, never
+Footprints are *measured* by running simulated sweeps, never
 hand-derived; the simulated sweeps interpret the plan's lowered tile
 program (:attr:`~repro.runtime.plan.StencilPlan.program`), so the
 measured counts are the counts of the exact instruction schedule the
 plan carries.
 
-Engines are obtained through :func:`repro.compile`, so binding the same
+Plans are obtained through :func:`repro.compile`, so binding the same
 kernel twice (or across benchmark repetitions) reuses one cached
 :class:`~repro.runtime.plan.StencilPlan` instead of re-running the
 decomposition.
@@ -28,9 +28,6 @@ import numpy as np
 
 from repro.baselines.base import FootprintScale, MethodTraits, StencilMethod
 from repro.core.config import OptimizationConfig
-from repro.core.engine1d import LoRAStencil1D
-from repro.core.engine2d import LoRAStencil2D
-from repro.core.engine3d import LoRAStencil3D
 from repro.core.fusion import fuse_kernel
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import BenchmarkKernel
@@ -63,11 +60,6 @@ class LoRAStencilMethod(StencilMethod):
             self.steps_per_sweep = self.FUSION_2D
         else:
             self.compiled = compile_stencil(w, config=self.config)
-        #: the compiled plan's engine (shared with every other holder of
-        #: the same plan — plans and engines are read-only after compile)
-        self.engine: LoRAStencil1D | LoRAStencil2D | LoRAStencil3D = (
-            self.compiled.engine
-        )
 
     @property
     def plan(self):
@@ -84,7 +76,7 @@ class LoRAStencilMethod(StencilMethod):
         """One *base* timestep (padded with the base radius)."""
         if self.steps_per_sweep == 1:
             return self.compiled.apply(padded)
-        # fused engine computes 3 steps at once; single-step callers get
+        # the fused plan computes 3 steps at once; single-step callers get
         # the unfused plan's math (a plan-cache hit after the first call)
         base = compile_stencil(self.weights, config=self.config)
         return base.apply(padded)
@@ -98,7 +90,7 @@ class LoRAStencilMethod(StencilMethod):
 
     def apply_fused(self, padded: np.ndarray) -> np.ndarray:
         """One fused sweep (padded with ``steps_per_sweep * radius``)."""
-        return self.engine.apply(padded)
+        return self.compiled.apply(padded)
 
     def simulated_sweep(
         self,
@@ -106,30 +98,26 @@ class LoRAStencilMethod(StencilMethod):
         seed: int = 0,
         backend: str | None = None,
     ) -> tuple[np.ndarray, EventCounters]:
-        """Run one simulated sweep of the bound engine on a random grid.
+        """Run one simulated sweep of the bound plan on a random grid.
 
         ``backend`` selects the execution backend; counters are
         bit-identical across backends, so footprints measured under the
         vectorized backend match the interpreter's exactly.
         """
         rng = np.random.default_rng(seed)
-        h = self._engine_radius()
+        h = self.compiled.radius
         padded = rng.normal(size=tuple(s + 2 * h for s in grid_shape))
         # through the compiled facade, so telemetry spans/metrics see it
-        if isinstance(self.engine, LoRAStencil1D):
-            return self.compiled.apply_simulated(
-                padded.reshape(-1), backend=backend
-            )
         return self.compiled.apply_simulated(padded, backend=backend)
 
     def footprint(self, grid_shape: tuple[int, ...] | None = None) -> FootprintScale:
         grid_shape = grid_shape or self.default_measure_grid()
         _, counters = self.simulated_sweep(grid_shape)
-        if isinstance(self.engine, LoRAStencil3D):
+        if self.compiled.ndim == 3:
             # z-streaming correction (see ConvStencilMethod.footprint):
             # a streaming sweep reads each global element once instead of
             # once per kernel plane
-            planes = 2 * self.engine.radius + 1
+            planes = 2 * self.compiled.radius + 1
             counters.global_load_bytes //= planes
         points = int(np.prod(grid_shape)) * self.steps_per_sweep
         return FootprintScale(counters=counters, points=points)
@@ -152,6 +140,3 @@ class LoRAStencilMethod(StencilMethod):
             smem_efficiency=0.85,
             issue_efficiency=0.60,
         )
-
-    def _engine_radius(self) -> int:
-        return self.engine.radius

@@ -8,7 +8,7 @@ pyramid), the cheapest point of the method's design space.
 This adapter swaps each benchmark kernel's weights for a deterministic
 rank-1 separable kernel of the *same radius* (the outer product of a
 symmetric vector with itself — e.g. a separable binomial smoother) and
-reuses the standard engines, so every structural choice (fusion policy,
+reuses the standard plans, so every structural choice (fusion policy,
 tiling, blocking) matches plain LoRAStencil and only the rank changes.
 
 The rank collapse is directly visible in the lowered artifact: the Best

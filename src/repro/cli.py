@@ -541,7 +541,7 @@ def _cmd_run(
         return 0
     print(f"{k.name}: simulated sweep over {shape} "
           f"({'fused 3x, ' if method.steps_per_sweep > 1 else ''}"
-          f"engine radius {method._engine_radius()})")
+          f"plan radius {method.plan.radius})")
     print(f"  plan {method.plan.key[:16]}…  "
           f"({method.plan.method}, rank {method.plan.rank}, "
           f"backend {used_backend})")
@@ -1112,7 +1112,7 @@ def _cmd_precision(kernel_name: str, steps: list[int]) -> int:
 
 def _cmd_scaling(kernel_name: str, size: int, devices: list[int]) -> int:
     from repro.experiments.report import format_table
-    from repro.parallel import SimulatedCluster
+    from repro.parallel import ClusterRuntime, distribute
     from repro.stencil.kernels import get_kernel
 
     k = get_kernel(kernel_name)
@@ -1123,7 +1123,7 @@ def _cmd_scaling(kernel_name: str, size: int, devices: list[int]) -> int:
     rows = [["devices", "mesh", "step time", "comm %", "speedup", "efficiency"]]
     for n in devices:
         mesh = _best_mesh(n)
-        t = SimulatedCluster(k.weights, (size, size), mesh).timings(steps=1)
+        t = ClusterRuntime(distribute(k.weights, (size, size), mesh)).timings(steps=1)
         if base is None:
             base = t
         speedup = t.speedup_over(base)
@@ -1293,10 +1293,11 @@ def _cmd_trace(kernel_name: str, limit: int) -> int:
         return 2
     device = Device()
     recorder = trace.install(device.counters)
-    eng = compile_stencil(k.weights).engine
     h = k.weights.radius
     x = np.zeros((8 + 2 * h, 8 + 2 * h))
-    eng.apply_simulated(x, device=device)
+    compile_stencil(k.weights).apply_simulated(
+        x, device=device, backend="interpreter"
+    )
     trace.uninstall(device.counters)
     print(f"{k.name}: one 8x8 output tile, {len(recorder.events)} warp ops")
     print(recorder.render(limit=limit))
@@ -2130,18 +2131,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Parse ``argv`` (default ``sys.argv``) and dispatch one command."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # back-compat: `repro cluster <kernel> ...` predates the run/report
-    # split; a non-subcommand token right after `cluster` means `run`
-    first = next((t for t in argv if not t.startswith("-")), None)
-    if first == "cluster":
-        i = argv.index("cluster")
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if nxt is not None and nxt not in (
-            "run", "report", "resume", "-h", "--help"
-        ):
-            argv.insert(i + 1, "run")
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     from repro.errors import BackendError
 
     if not getattr(args, "telemetry", False):

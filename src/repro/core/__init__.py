@@ -11,66 +11,34 @@ Pipeline (Fig. 3):
 3. :mod:`repro.core.rdg` — Residual Dimension Gathering: the warp-level
    Matrix Chain Multiplication ``U X V`` on the TCU simulator
    (Section III-B), with Butterfly Vector Swapping (Section III-D)
-   applied between the two gathers.
-4. :mod:`repro.core.engine1d` / :mod:`repro.core.engine2d` /
-   :mod:`repro.core.engine3d` — end-to-end stencil executors
-   (functional NumPy fast path + faithful simulated path).
-5. :mod:`repro.core.fusion` — temporal kernel fusion (Section IV-A).
-"""
+   applied between the two gathers; plus the 1D banded tile.
+4. :mod:`repro.core.lowering` — the pass pipeline producing a plan's
+   :class:`~repro.core.lowering.LoweredProgram`: kernel planes (the 3D
+   plane split of Algorithm 2) and their scheduled tile programs.
+5. :mod:`repro.core.sweep` — the simulated sweep of a plan (interpreter,
+   vectorized or oracle tiles; ABFT guard; z-streaming 3D), and
+   :mod:`repro.core.functional` — the NumPy functional path.
+6. :mod:`repro.core.fusion` — temporal kernel fusion (Section IV-A).
 
-import warnings
+Execute stencils through ``repro.compile(...)``, which builds and caches
+the plan these modules lower.
+"""
 
 from repro.core.lowrank import Decomposition, PivotError, Rank1Term
 from repro.core.uvbuild import build_u_matrix, build_v_matrix, butterfly_row_order
 from repro.core.config import OptimizationConfig
-from repro.core.engine1d import LoRAStencil1D
-from repro.core.engine2d import LoRAStencil2D
-from repro.core.engine3d import LoRAStencil3D
 from repro.core.fusion import FusedKernel, fuse_kernel, fragment_waste, fusion_saving
 
 __all__ = [
     "Rank1Term",
     "Decomposition",
     "PivotError",
-    "decompose",
-    "pyramidal_decompose",
-    "svd_decompose",
     "build_u_matrix",
     "build_v_matrix",
     "butterfly_row_order",
     "OptimizationConfig",
-    "LoRAStencil1D",
-    "LoRAStencil2D",
-    "LoRAStencil3D",
     "FusedKernel",
     "fuse_kernel",
     "fragment_waste",
     "fusion_saving",
 ]
-
-#: names still resolvable from ``repro.core`` for backwards compatibility,
-#: but deprecated in favour of the runtime facade
-_DEPRECATED_REEXPORTS = ("decompose", "pyramidal_decompose", "svd_decompose")
-
-
-def __getattr__(name: str):
-    """Deprecated re-exports (PEP 562).
-
-    ``repro.core.decompose`` and friends still resolve, but emit a
-    :class:`DeprecationWarning`: import them from
-    :mod:`repro.core.lowrank` directly, or skip the decomposition step
-    entirely with ``repro.compile(...)``, which runs (and caches) it as
-    part of plan construction.
-    """
-    if name in _DEPRECATED_REEXPORTS:
-        warnings.warn(
-            f"repro.core.{name} is deprecated; import it from "
-            "repro.core.lowrank, or use repro.compile(...) which runs the "
-            "decomposition once per cached plan",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core import lowrank
-
-        return getattr(lowrank, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

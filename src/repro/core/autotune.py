@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import FootprintScale, MethodTraits
-from repro.core._deprecation import suppress_engine_deprecation
-from repro.core.engine2d import LoRAStencil2D
 from repro.core.fusion import fuse_kernel
 from repro.perf.costmodel import gstencil_per_second
 from repro.perf.machine import A100, MachineSpec
@@ -51,14 +49,13 @@ class TuneResult:
     best: Candidate
     candidates: tuple[Candidate, ...]
 
-    def build_engine(self, weights: StencilWeights) -> LoRAStencil2D:
-        """Instantiate the winning engine for ``weights``."""
+    def compile(self, weights: StencilWeights):
+        """Compile the winning configuration for ``weights``."""
+        from repro.runtime import compile as compile_stencil
+
         if self.best.fusion > 1:
             weights = fuse_kernel(weights, self.best.fusion).fused
-        with suppress_engine_deprecation():
-            return LoRAStencil2D(
-                weights.as_matrix(), tile_shape=self.best.tile_shape
-            )
+        return compile_stencil(weights, tile_shape=self.best.tile_shape)
 
 
 def autotune_2d(
@@ -77,6 +74,8 @@ def autotune_2d(
     """
     if weights.ndim != 2:
         raise ValueError(f"autotune_2d needs a 2D kernel, got {weights.ndim}D")
+    from repro.runtime import compile as compile_stencil
+
     rng = np.random.default_rng(seed)
     candidates: list[Candidate] = []
     for fusion in fusion_options:
@@ -84,9 +83,8 @@ def autotune_2d(
         h = fused.radius
         x = rng.normal(size=tuple(s + 2 * h for s in measure_grid))
         for tile_shape in tile_options:
-            with suppress_engine_deprecation():
-                engine = LoRAStencil2D(fused.as_matrix(), tile_shape=tile_shape)
-            _, counters = engine.apply_simulated(x)
+            compiled = compile_stencil(fused, tile_shape=tile_shape)
+            _, counters = compiled.apply_simulated(x)
             points = measure_grid[0] * measure_grid[1] * fusion
             fp = FootprintScale(counters=counters, points=points)
             candidates.append(

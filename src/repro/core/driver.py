@@ -1,8 +1,8 @@
 """Sustained simulated execution: multi-iteration runs with double
 buffering on the device.
 
-The per-sweep engines return fresh arrays; a production stencil run
-ping-pongs two DRAM buffers across thousands of timesteps.
+A single simulated sweep returns a fresh array; a production stencil
+run ping-pongs two DRAM buffers across thousands of timesteps.
 :class:`SimulationDriver` reproduces that structure on the simulator —
 one :class:`~repro.tcu.device.Device` whose counters accumulate over the
 whole run — and reports sustained statistics (events per point-step,
@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.base import FootprintScale, MethodTraits
-from repro.core._deprecation import suppress_engine_deprecation
-from repro.core.engine2d import LoRAStencil2D
 from repro.perf.costmodel import gstencil_per_second
 from repro.perf.machine import A100, MachineSpec
 from repro.stencil.grid import Grid
@@ -62,7 +60,7 @@ class SimulationDriver:
         self,
         weights: StencilWeights,
         boundary: str = "constant",
-        engine: LoRAStencil2D | None = None,
+        compiled=None,
     ) -> None:
         if weights.ndim != 2:
             raise ValueError(
@@ -70,10 +68,12 @@ class SimulationDriver:
             )
         self.weights = weights
         self.boundary = boundary
-        if engine is None:
-            with suppress_engine_deprecation():
-                engine = LoRAStencil2D(weights.as_matrix())
-        self.engine = engine
+        if compiled is None:
+            from repro.runtime import compile as compile_stencil
+
+            compiled = compile_stencil(weights)
+        #: the :class:`~repro.runtime.facade.CompiledStencil` each step runs
+        self.compiled = compiled
 
     def run(self, initial: np.ndarray, steps: int) -> RunReport:
         """Run ``steps`` simulated sweeps, accumulating device counters."""
@@ -84,8 +84,8 @@ class SimulationDriver:
         grid = Grid(initial, self.weights.radius, boundary=self.boundary)
         for _ in range(steps):
             grid.step(
-                lambda padded: self.engine.apply_simulated(
-                    padded, device=device
+                lambda padded: self.compiled.apply_simulated(
+                    padded, device=device, backend="interpreter"
                 )[0]
             )
         return RunReport(

@@ -5,17 +5,18 @@ decomposition (Eq. 15), banded RDG ``U``/``V`` gather matrices, the
 BVS-split MMA chain — and this module makes the staging explicit as a
 compiler-style pass pipeline::
 
-    weights --decompose--> engine (decomposition + gather fragments)
+    weights --decompose--> kernel planes (decomposition + gather fragments)
             --build_tile_ir--> canonical TileProgram(s)
-            --schedule--> scheduled TileProgram(s)  (the plan artifact)
+            --schedule--> scheduled TileProgram(s)
+            --vectorize--> tap-chain tables for the vectorized backend
 
 :func:`lower` runs the default :class:`PassPipeline` and returns the
-engine plus a :class:`LoweredProgram` — the artifact a
-:class:`~repro.runtime.plan.StencilPlan` carries and the sweep driver
-executes (the eager :meth:`~repro.core.rdg.RDGTileCompute.compute_tile`
-path survives only as the correctness oracle).  Each pass runs under a
-``lowering.<pass>`` telemetry span and its wall time is recorded on the
-artifact, so ``repro profile`` attributes compile cost per stage.
+:class:`LoweredProgram` a :class:`~repro.runtime.plan.StencilPlan`
+carries and :func:`repro.core.sweep.simulate` executes (the eager
+:meth:`~repro.core.rdg.RDGTileCompute.compute_tile` path survives only
+as the correctness oracle).  Each pass runs under a ``lowering.<pass>``
+telemetry span and its wall time is recorded on the artifact, so
+``repro profile`` attributes compile cost per stage.
 
 Schedules are pluggable: ``"eager"`` keeps the canonical emission
 order, ``"prefetch"`` hoists fragment loads to the front of the tile
@@ -35,6 +36,8 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import OptimizationConfig
+from repro.core.lowrank import decompose
+from repro.core.rdg import OUT_TILE, BandedTile1D, RDGTileCompute
 from repro.core.vectorize import VectorProgram, build_vector_program
 from repro.errors import LoweringError
 from repro.tcu.program import (
@@ -48,13 +51,13 @@ from repro.tcu.program import (
 from repro.telemetry.spans import TRACER
 
 __all__ = [
+    "Plane",
     "LoweredTile",
     "LoweredProgram",
     "LoweringContext",
     "PassPipeline",
     "DEFAULT_PASSES",
     "lower",
-    "lower_engine",
     "register_schedule",
     "get_schedule",
     "available_schedules",
@@ -143,20 +146,39 @@ class LoweredTile:
 
 
 @dataclass(frozen=True)
+class Plane:
+    """One kernel plane: the unit the sweep executes (Alg. 2's split).
+
+    1D and 2D stencils are a single plane whose ``kernel`` holds the
+    gather weights — a :class:`~repro.core.rdg.BandedTile1D` or an
+    :class:`~repro.core.rdg.RDGTileCompute` (and its decomposition).  A
+    3D stencil has one plane per kernel plane ``index``: a single
+    nonzero weight is a ``pointwise`` ``(row, col, weight)`` axpy on the
+    CUDA cores, any other nonzero plane a tensor-core ``kernel``, and an
+    all-zero plane neither.
+    """
+
+    index: int
+    kernel: RDGTileCompute | BandedTile1D | None = None
+    pointwise: tuple[int, int, float] | None = None
+
+
+@dataclass(frozen=True)
 class LoweredProgram:
     """The plan-carried lowering artifact for one stencil.
 
-    ``tiles`` holds one entry per tile kernel: a single entry for 1D/2D
-    plans, one per kernel plane for 3D plans (``None`` for the
-    point-wise CUDA-core planes and empty planes of the plane split).
-    ``pass_times`` records ``(pass name, seconds)`` for each pipeline
-    stage that produced this artifact.
+    ``planes`` is the ``decompose`` pass output; ``tiles`` holds the
+    scheduled program of each plane (``None`` for point-wise and empty
+    planes, and everywhere under a CUDA-core config).  ``pass_times``
+    records ``(pass name, seconds)`` for each pipeline stage that
+    produced this artifact.
     """
 
     ndim: int
     schedule: str
     tiles: tuple[LoweredTile | None, ...]
     pass_times: tuple[tuple[str, float], ...] = ()
+    planes: tuple[Plane, ...] = field(default=(), repr=False, compare=False)
 
     @property
     def tile(self) -> LoweredTile | None:
@@ -213,56 +235,62 @@ class LoweringContext:
     ndim: int
     config: OptimizationConfig
     tile_shape: tuple[int, int] | None = None
-    engine: object | None = None
+    planes: tuple[Plane, ...] = ()
     tile_irs: tuple[TileProgram | None, ...] = ()
     tiles: tuple[LoweredTile | None, ...] = ()
     pass_times: list[tuple[str, float]] = field(default_factory=list)
 
 
-def _pass_decompose(ctx: LoweringContext) -> None:
-    """Decomposition + gather-fragment build (constructs the engine)."""
-    # engines import this module for their lazy self-lowering hook, so
-    # resolve them at call time
-    from repro.core._deprecation import suppress_engine_deprecation
-    from repro.core.engine1d import LoRAStencil1D
-    from repro.core.engine2d import LoRAStencil2D
-    from repro.core.engine3d import LoRAStencil3D
-    from repro.core.rdg import OUT_TILE
+def _rdg(weights: np.ndarray, config, tile_shape=None) -> RDGTileCompute:
+    """Decompose one 2D weight matrix and build its RDG gather weights."""
+    rows, cols = tile_shape or (OUT_TILE, OUT_TILE)
+    return RDGTileCompute(
+        decompose(weights),
+        (weights.shape[0] - 1) // 2,
+        config,
+        out_rows=rows,
+        out_cols=cols,
+    )
 
-    with suppress_engine_deprecation():
-        if ctx.ndim == 1:
-            ctx.engine = LoRAStencil1D(ctx.weights, config=ctx.config)
-        elif ctx.ndim == 2:
-            ctx.engine = LoRAStencil2D(
-                ctx.weights,
-                config=ctx.config,
-                tile_shape=ctx.tile_shape or (OUT_TILE, OUT_TILE),
-            )
-        else:
-            ctx.engine = LoRAStencil3D(ctx.weights, config=ctx.config)
+
+def _split_plane(index: int, plane: np.ndarray, config) -> Plane:
+    """Alg. 2's dual-unit split of one 3D kernel plane."""
+    nz = np.argwhere(plane != 0.0)
+    if len(nz) == 1:
+        i, j = (int(v) for v in nz[0])
+        return Plane(index, pointwise=(i, j, float(plane[i, j])))
+    if len(nz) == 0:
+        return Plane(index)
+    return Plane(index, kernel=_rdg(plane, config))
+
+
+def _pass_decompose(ctx: LoweringContext) -> None:
+    """Decomposition + gather-fragment build, one entry per plane."""
+    if ctx.ndim == 1:
+        ctx.planes = (Plane(0, kernel=BandedTile1D(ctx.weights, ctx.config)),)
+    elif ctx.ndim == 2:
+        ctx.planes = (Plane(0, kernel=_rdg(ctx.weights, ctx.config, ctx.tile_shape)),)
+    else:
+        ctx.planes = tuple(
+            _split_plane(i, plane, ctx.config) for i, plane in enumerate(ctx.weights)
+        )
 
 
 def _pass_build_tile_ir(ctx: LoweringContext) -> None:
-    """Emit the canonical (unscheduled) tile program(s)."""
-    if ctx.engine is None:
-        raise LoweringError("build_tile_ir pass requires a decomposed engine")
-    if not ctx.config.use_tensor_cores:
-        # CUDA-core fallback: no tensor-core program to build; the sweep
-        # driver runs the eager scalar path instead
-        ctx.tile_irs = (None,) if ctx.ndim != 3 else tuple(
-            None for _ in ctx.engine.planes
-        )
-        return
-    if ctx.ndim == 1:
-        ctx.tile_irs = (build_tile_program_1d(ctx.engine),)
-    elif ctx.ndim == 2:
-        ctx.tile_irs = (build_tile_program(ctx.engine.tile),)
-    else:
-        ctx.tile_irs = tuple(
-            build_tile_program(task.engine.tile) if task.engine is not None
-            else None
-            for task in ctx.engine.planes
-        )
+    """Emit the canonical (unscheduled) tile program of every plane.
+
+    A CUDA-core config has no tensor-core program to build: the sweep
+    runs each kernel's eager scalar path instead.
+    """
+    if not ctx.planes:
+        raise LoweringError("build_tile_ir pass requires the decompose pass")
+    build = build_tile_program_1d if ctx.ndim == 1 else build_tile_program
+    ctx.tile_irs = tuple(
+        build(p.kernel)
+        if p.kernel is not None and ctx.config.use_tensor_cores
+        else None
+        for p in ctx.planes
+    )
 
 
 def _scheduled_tile(program: TileProgram, schedule: str) -> LoweredTile:
@@ -346,13 +374,11 @@ def lower(
     config: OptimizationConfig | None = None,
     tile_shape: tuple[int, int] | None = None,
     pipeline: PassPipeline | None = None,
-) -> tuple[object, LoweredProgram]:
-    """Run the full pipeline; returns ``(engine, LoweredProgram)``.
+) -> LoweredProgram:
+    """Run the full pipeline; returns the :class:`LoweredProgram`.
 
     This is what :func:`repro.runtime.plan.build_plan` calls on a plan
-    cache miss.  The returned engine has the scheduled programs bound
-    (via :meth:`~repro.core.engine2d.LoRAStencil2D.bind_lowered`), so
-    its simulated sweeps execute through the lowered artifact.
+    cache miss.
     """
     cfg = config or OptimizationConfig()
     if cfg.use_tensor_cores:
@@ -364,24 +390,13 @@ def lower(
         tile_shape=tile_shape,
     )
     (pipeline or PassPipeline()).run(ctx)
-    lowered = LoweredProgram(
+    return LoweredProgram(
         ndim=ndim,
         schedule=cfg.schedule,
         tiles=ctx.tiles,
         pass_times=tuple(ctx.pass_times),
+        planes=ctx.planes,
     )
-    _bind(ctx.engine, lowered)
-    return ctx.engine, lowered
-
-
-def _bind(engine, lowered: LoweredProgram) -> None:
-    """Attach the scheduled tile programs to the engine(s)."""
-    if lowered.ndim == 3:
-        for task, tile in zip(engine.planes, lowered.tiles):
-            if task.engine is not None and tile is not None:
-                task.engine.bind_lowered(tile)
-    else:
-        engine.bind_lowered(lowered.tile)
 
 
 def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
@@ -427,25 +442,3 @@ def checksum_footprint(lowered: LoweredProgram | LoweredTile) -> dict:
         "checksum_rows": n_mma,
         "overhead_fraction": (n_mma / baseline) if baseline else 0.0,
     }
-
-
-def lower_engine(engine) -> LoweredTile | None:
-    """Build + schedule the program for one already-built 1D/2D engine.
-
-    The lazy self-lowering hook behind the (deprecated) direct engine
-    constructors: ``build_tile_ir`` and ``schedule`` without the
-    ``decompose`` pass, keeping the lowered program the single
-    tensor-core execution path even off the plan route.  Returns
-    ``None`` for CUDA-core configurations (no program to build).
-    """
-    if not engine.config.use_tensor_cores:
-        return None
-    fn = get_schedule(engine.config.schedule)
-    tile = getattr(engine, "tile", None)
-    ir = (
-        build_tile_program(tile)
-        if tile is not None
-        else build_tile_program_1d(engine)
-    )
-    lowered = _scheduled_tile(fn(ir), engine.config.schedule)
-    return replace(lowered, vector=build_vector_program(lowered.program))

@@ -32,6 +32,10 @@ CUDA cores.
 
 ``compute_tile_cuda`` is the Fig. 9 baseline: the same RDG arithmetic
 executed on CUDA cores (scalar loads + FLOP counting, no fragments).
+
+:class:`BandedTile1D` is the 1D counterpart (Section IV-C): 1D stencils
+have no residual dimension, so one banded ``U`` gathers every
+dependency and there is no MCM, BVS or pyramid.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from repro.tcu.layouts import FragmentKind
 from repro.tcu.memory import SharedMemory
 from repro.tcu.warp import Warp
 
-__all__ = ["RDGTileCompute", "OUT_TILE"]
+__all__ = ["RDGTileCompute", "BandedTile1D", "OUT_TILE"]
 
 #: Default output tile side (one 8x8 accumulator, the paper's config).
 OUT_TILE = 8
@@ -274,3 +278,61 @@ class RDGTileCompute:
                 row + h, col + h, (self.out_rows, self.out_cols)
             )
             warp.cuda_core_axpy(out, term.scalar_weight, centre)
+
+
+class BandedTile1D:
+    """Precomputed banded ``U`` + the eager 1D tile (Section IV-C).
+
+    One warp updates 64 consecutive outputs arranged as an 8x8
+    accumulator with ``acc[p, q] = out[base + 8q + p]``.  The window
+    ``X[r, q] = x[base + 8q + r]`` is read from the block's flat shared
+    buffer with strided fragment loads, and ``acc = U @ X`` accumulates
+    over the ``K/4`` k-blocks.  The sweep sees the tile as a ``(1, 64)``
+    row of a ``1 x n`` grid.
+    """
+
+    out_rows = 1
+    out_cols = 64
+
+    def __init__(
+        self, weights: np.ndarray, config: OptimizationConfig | None = None
+    ) -> None:
+        self.weight_vector = np.asarray(weights, dtype=np.float64)
+        self.radius = (self.weight_vector.shape[0] - 1) // 2
+        self.config = config or OptimizationConfig()
+        #: window rows (k-dimension), 4-aligned
+        self.k_rows = _round_up(8 + 2 * self.radius, 4)
+        self.u_mat = build_u_matrix(self.weight_vector, 8, self.k_rows)
+        self.u_frags = [
+            Fragment.from_matrix(FragmentKind.A, self.u_mat[:, 4 * k : 4 * k + 4])
+            for k in range(self.k_rows // 4)
+        ]
+
+    @property
+    def mma_per_tile(self) -> int:
+        """MMA instructions per 64 outputs."""
+        return self.k_rows // 4
+
+    def window(self, smem: SharedMemory, base: int, kb: int) -> np.ndarray:
+        """The ``(4, 8)`` window rows of k-block ``kb`` (8-strided)."""
+        return smem.read_fragment_strided(base + 4 * kb, (4, 8), col_stride=8)
+
+    def compute_tile(
+        self, warp: Warp, smem: SharedMemory, row: int, col: int
+    ) -> np.ndarray:
+        """The 64 outputs at block-local offset ``col`` as a ``(1, 64)``
+        row, by the eager accumulator chain (CUDA cores when the config
+        has no tensor cores)."""
+        if not self.config.use_tensor_cores:
+            window = np.concatenate(
+                [self.window(smem, col, kb) for kb in range(self.k_rows // 4)]
+            )
+            warp.counters.cuda_core_flops += 2 * 8 * self.k_rows * 8
+            acc = self.u_mat @ window
+        else:
+            frag = None
+            for kb in range(self.k_rows // 4):
+                x = Fragment.from_matrix(FragmentKind.B, self.window(smem, col, kb))
+                frag = warp.mma_sync(self.u_frags[kb], x, frag)
+            acc = frag.to_matrix()
+        return acc.T.reshape(1, -1)

@@ -1,27 +1,23 @@
-"""The shared block-sweep driver behind every simulated engine.
+"""The simulated sweep of a compiled plan.
 
-Before this module, each of ``engine1d``/``engine2d``/``engine3d``
-carried its own copy of the same orchestration: validate the padded
-input, round the requested thread-block to warp-tile multiples, size a
-shared-memory staging tile, copy global -> shared (``cp.async`` when
-enabled), loop warp tiles over the block, trim the grid-overhanging
-edge tiles, and book the hardware events into one
-:class:`~repro.tcu.counters.EventCounters` span.  That orchestration now
-lives here once; an engine shrinks to a *tile provider* — a callable
-computing one warp tile from shared memory — plus a
-:class:`SweepSpec` describing its geometry:
+:func:`simulate` is the one function that executes a plan's lowered
+program on the TCU simulator.  It builds each plane's
+:class:`SweepSpec`, picks the tile source — the interpreter stepping the
+scheduled :class:`~repro.tcu.program.TileProgram`, or the eager oracle
+tile math — dispatches to the vectorized backend
+(:func:`repro.core.vectorize.run_vector_sweep`), and arms the ABFT
+guard.  :func:`run_block_sweep` is the block-by-block driver under it:
 
-* 2D sweeps pass their interior/tile/block shapes directly;
-* 1D sweeps run as a ``1 x n`` sweep whose provider returns the 64
-  outputs of the 8x8 accumulator as a flat ``(1, 64)`` row;
-* 3D sweeps keep their plane decomposition and dispatch per-plane 2D
-  sweeps (plus CUDA-core point-wise planes) — see
-  :class:`~repro.core.engine3d.LoRAStencil3D`.
+* 2D planes sweep their interior/tile/block shapes directly;
+* 1D planes run as a ``1 x n`` sweep whose tile is the 64 outputs of the
+  8x8 accumulator as a flat ``(1, 64)`` row;
+* 3D plans sweep every tensor-core plane slab by slab (all slabs in one
+  batched call under the vectorized backend) and run the point-wise
+  planes as CUDA-core axpys — Algorithm 2's dual-unit split.
 
-The driver reproduces the exact memory traffic of the engines it
-replaced — same block rounding, same shared-tile shapes, same clamped
-fills — so event counts are bit-for-bit stable across the refactor
-(the schedule-equivalence suite pins this).
+:func:`simulate_streaming` is the z-streaming 3D sweep that keeps a
+rolling window of input slabs resident in shared memory; its measured
+DRAM traffic is the evidence behind the cost model's 3D correction.
 """
 
 from __future__ import annotations
@@ -31,13 +27,26 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.core.rdg import BandedTile1D
+from repro.core.vectorize import run_vector_sweep
+from repro.errors import BackendError, PerfError, ShapeError
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
+from repro.tcu.program import execute_program, execute_program_1d
 from repro.telemetry.health import current_beat
 from repro.telemetry.spans import TRACER
 
-__all__ = ["SweepSpec", "run_block_sweep", "validate_padded"]
+__all__ = [
+    "DEFAULT_BLOCKS",
+    "SweepSpec",
+    "run_block_sweep",
+    "simulate",
+    "simulate_streaming",
+    "validate_padded",
+]
+
+#: Paper Table II thread-block shapes (outputs per block) by ndim.
+DEFAULT_BLOCKS = {1: (1024,), 2: (32, 64), 3: (8, 64)}
 
 #: A tile provider: ``(warp, smem, row, col) -> out_tile`` where ``(row,
 #: col)`` is the tile's block-local input-window origin and the returned
@@ -95,8 +104,7 @@ def validate_padded(
 
     Raises :class:`~repro.errors.ShapeError` when the dimensionality is
     wrong or the array is too small to contain one interior point after
-    removing the ``radius`` halo — the validation every engine used to
-    duplicate.
+    removing the ``radius`` halo.
     """
     padded = np.asarray(padded, dtype=np.float64)
     if padded.ndim != ndim:
@@ -119,7 +127,7 @@ def run_block_sweep(
 ) -> tuple[np.ndarray, EventCounters]:
     """Sweep one grid block by block; returns ``(interior, counters)``.
 
-    ``padded2d`` is the padded input viewed as 2D (1D engines reshape to
+    ``padded2d`` is the padded input viewed as 2D (1D plans reshape to
     ``(1, n)``); ``compute_tile(warp, smem, row, col)`` computes one
     warp tile from the block's shared staging tile.  The driver owns
     everything else: global arrays, block rounding, the shared fill
@@ -239,3 +247,238 @@ def run_block_sweep(
     if profiler is not None:
         profiler.note_sweep(spec, events)
     return gmem_out.data, events
+
+
+# ---------------------------------------------------------------------------
+# plan execution
+# ---------------------------------------------------------------------------
+def _plane_spec(
+    kernel, interior: tuple[int, int], block: tuple[int, ...], use_async: bool
+) -> SweepSpec:
+    """The block-sweep geometry of one plane kernel over ``(rows, cols)``."""
+    rows, cols = interior
+    if isinstance(kernel, BandedTile1D):
+        # the last tile of a block reads up to block - 64 + 8*7 + k_rows
+        return SweepSpec(
+            interior=(1, cols),
+            tile=(1, kernel.out_cols),
+            block=(1, block[-1]),
+            smem_halo=(0, kernel.k_rows - 8 + kernel.out_cols - 8),
+            use_async_copy=use_async,
+            ndim=1,
+            shape_label=str(cols),
+        )
+    return SweepSpec(
+        interior=(rows, cols),
+        tile=(kernel.out_rows, kernel.out_cols),
+        block=block,
+        smem_halo=(kernel.k_rows - kernel.out_rows, kernel.w_cols - kernel.out_cols),
+        use_async_copy=use_async,
+        ndim=2,
+        shape_label=f"{rows}x{cols}",
+    )
+
+
+def _tile_source(kernel, tile=None, profiler=None) -> TileProvider:
+    """The provider computing one warp tile of a plane.
+
+    Interprets the scheduled program of ``tile`` (a
+    :class:`~repro.core.lowering.LoweredTile`); with ``tile=None`` (the
+    oracle backend, or a CUDA-core config that lowers to no program) it
+    is the kernel's eager ``compute_tile``.  ``profiler`` opts the
+    interpreter into per-instruction attribution, which the eager path
+    has no instructions for.
+    """
+    if tile is None:
+        if profiler is not None:
+            raise PerfError(
+                "per-instruction profiling requires the lowered "
+                "tensor-core program (no oracle/CUDA-core path)"
+            )
+        return kernel.compute_tile
+    program = tile.program
+    if isinstance(kernel, BandedTile1D):
+        # out[base + 8q + p] = acc[p, q]
+        return lambda warp, smem, row, col: execute_program_1d(
+            program, warp, smem, col, profiler
+        ).T.reshape(1, -1)
+    return lambda warp, smem, row, col: execute_program(
+        program, warp, smem, row, col, profiler
+    )
+
+
+def simulate(
+    plan,
+    padded: np.ndarray,
+    backend: str,
+    device: Device | None = None,
+    profiler=None,
+    verify=None,
+    policy=None,
+    report=None,
+    block: tuple[int, ...] | None = None,
+) -> tuple[np.ndarray, EventCounters]:
+    """One simulated sweep of ``plan``; returns ``(interior, counters)``.
+
+    ``backend`` is an already resolved backend name
+    (:func:`repro.runtime.backends.resolve_backend`): ``"interpreter"``
+    steps the scheduled programs, ``"oracle"`` runs the eager tile math,
+    ``"vectorized"`` evaluates every tile of a plane at once.  A
+    CUDA-core config has no program, so every backend runs it eagerly.
+    ``verify="abft"`` checksum-verifies each tile and staging copy
+    against the oracle tile math, recovering under ``policy`` and
+    counting into ``report`` (see :mod:`repro.faults`).  ``block``
+    overrides the plan's thread-block shape.  The counters are the
+    events of this sweep only.
+    """
+    from repro.runtime.backends import get_backend
+
+    padded, interior = validate_padded(padded, plan.ndim, plan.radius)
+    if verify and not get_backend(backend).supports_faults:
+        raise BackendError(
+            f"the {backend} backend does not support ABFT verification "
+            "or fault recovery; use backend='interpreter'"
+        )
+    block = tuple(block or plan.block)
+    use_async = plan.config.use_async_copy
+    device = device or Device()
+    planes, tiles = plan.lowered.planes, plan.lowered.tiles
+    vectorized = backend == "vectorized"
+
+    def source_and_guard(plane, tile):
+        source = _tile_source(
+            plane.kernel, None if backend == "oracle" else tile, profiler
+        )
+        if not verify:
+            return source, None
+        from repro.faults.abft import make_guard
+
+        return source, make_guard(
+            plane.kernel.compute_tile, verify, policy=policy, report=report,
+            label="1d" if plan.ndim == 1 else "2d",
+        )
+
+    if plan.ndim < 3:
+        (plane,), (tile,) = planes, tiles
+        rows, cols = interior if plan.ndim == 2 else (1, interior[0])
+        spec = _plane_spec(plane.kernel, (rows, cols), block, use_async)
+        grid = padded.reshape(-1, padded.shape[-1])
+        if vectorized and tile is not None:
+            out, events = run_vector_sweep(grid, spec, tile.vector, device, profiler)
+        else:
+            source, guard = source_and_guard(plane, tile)
+            out, events = run_block_sweep(grid, spec, source, device, profiler, guard)
+        return out.reshape(interior), events
+
+    zs, rs, cs = interior
+    start = device.snapshot()
+    warp = device.warp()
+    out = np.zeros(interior, dtype=np.float64)
+    with TRACER.span(
+        "tcu.sweep", category="tcu", ndim=3, shape=f"{zs}x{rs}x{cs}"
+    ) as span:
+        for plane, tile in zip(planes, tiles):
+            z0 = plane.index
+            if plane.pointwise is not None:
+                pi, pj, wt = plane.pointwise
+                gmem = device.global_array(padded, name=f"plane{z0}")
+                slab = gmem.read(
+                    (slice(z0, z0 + zs), slice(pi, pi + rs), slice(pj, pj + cs))
+                )
+                warp.cuda_core_axpy(out, wt, slab)
+            elif plane.kernel is not None:
+                spec = _plane_spec(plane.kernel, (rs, cs), block, use_async)
+                if vectorized and tile is not None:
+                    # every z-slab of the plane in one batched sweep
+                    slabs, _ = run_vector_sweep(
+                        padded[z0 : z0 + zs], spec, tile.vector, device, profiler
+                    )
+                    warp.cuda_core_axpy(out, 1.0, slabs)
+                    continue
+                source, guard = source_and_guard(plane, tile)
+                for z in range(zs):
+                    slab, _ = run_block_sweep(
+                        padded[z + z0], spec, source, device, profiler, guard
+                    )
+                    warp.cuda_core_axpy(out[z], 1.0, slab)
+        gmem_out = device.global_array(np.zeros_like(out), name="output")
+        gmem_out.write((slice(None), slice(None), slice(None)), out)
+        events = device.events_since(start)
+        span.add_events(events)
+    return out, events
+
+
+def simulate_streaming(
+    plan, padded: np.ndarray, device: Device | None = None
+) -> tuple[np.ndarray, EventCounters]:
+    """The z-streaming 3D sweep: each input slab is staged once.
+
+    The production sweep keeps a rolling window of ``2h+1`` input slabs
+    resident in shared memory: advancing one output plane copies exactly
+    *one* new slab from DRAM, which every kernel plane then reuses.
+    Relative to :func:`simulate` (which re-copies a slab once per kernel
+    plane) this divides the DRAM read traffic by roughly the number of
+    planes touching each slab — the correction the performance
+    footprints apply, here measured rather than assumed.  Tiles run the
+    scheduled programs (the eager path under a CUDA-core config).
+    """
+    padded, (zs, rs, cs) = validate_padded(padded, 3, plan.radius)
+    h = plan.radius
+    device = device or Device()
+    start = device.snapshot()
+    warp = device.warp()
+    gmem_in = device.global_array(padded, name="input")
+    out = np.zeros((zs, rs, cs), dtype=np.float64)
+
+    # shared-slab geometry covering every tensor-core plane's tile
+    # windows (including the last, possibly grid-overhanging, tile)
+    sources = {
+        plane.index: _tile_source(plane.kernel, tile)
+        for plane, tile in zip(plan.lowered.planes, plan.lowered.tiles)
+        if plane.kernel is not None
+    }
+    slab_rows, slab_cols = rs + 2 * h, cs + 2 * h
+    for plane in plan.lowered.planes:
+        k = plane.kernel
+        if k is not None:
+            slab_rows = max(slab_rows, _round_up(rs, k.out_rows) - k.out_rows + k.k_rows)
+            slab_cols = max(slab_cols, _round_up(cs, k.out_cols) - k.out_cols + k.w_cols)
+    slab_shape = (slab_rows, slab_cols)
+    resident: dict = {}
+
+    def slab(z_idx: int):
+        """Fetch (once) the shared copy of input slab ``z_idx``."""
+        if z_idx not in resident:
+            smem = device.shared(slab_shape, name=f"slab{z_idx}")
+            avail_r = min(slab_shape[0], padded.shape[1])
+            avail_c = min(slab_shape[1], padded.shape[2])
+            gmem_in.copy_to_shared(
+                (z_idx, slice(0, avail_r), slice(0, avail_c)),
+                smem,
+                0,
+                0,
+                use_async=plan.config.use_async_copy,
+            )
+            resident[z_idx] = smem
+        return resident[z_idx]
+
+    for z in range(zs):
+        # slide the window: drop the slab that fell out of range
+        resident.pop(z - 1, None)
+        for plane in plan.lowered.planes:
+            smem = slab(z + plane.index)
+            if plane.pointwise is not None:
+                pi, pj, wt = plane.pointwise
+                centre = smem.read_scalar_tile(pi, pj, (rs, cs))
+                warp.cuda_core_axpy(out[z], wt, centre)
+            elif plane.kernel is not None:
+                source = sources[plane.index]
+                t_r, t_c = plane.kernel.out_rows, plane.kernel.out_cols
+                for tr in range(0, rs, t_r):
+                    for tc in range(0, cs, t_c):
+                        result = source(warp, smem, tr, tc)
+                        vr, vc = min(t_r, rs - tr), min(t_c, cs - tc)
+                        out[z, tr : tr + vr, tc : tc + vc] += result[:vr, :vc]
+    gmem_out = device.global_array(np.zeros_like(out), name="output")
+    gmem_out.write((slice(None), slice(None), slice(None)), out)
+    return out, device.events_since(start)

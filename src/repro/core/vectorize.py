@@ -38,7 +38,7 @@ value-independent and shift-invariant across tile origins) and scaled
 by the tile count; staging and DRAM traffic is priced block for block
 with the driver's arithmetic.  Fault injection and ABFT need the
 per-tile execution this path skips, so :func:`run_vector_sweep` refuses
-a device with an injector (engines reject ``verify=`` up front).
+a device with an injector (``simulate`` rejects ``verify=`` up front).
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ def build_vector_program(program: TileProgram) -> VectorProgram:
                 t.scalar_weight for t in tile.decomposition.scalar_terms
             ),
         )
-    # 1D engines: one banded U over the flat axis, no pad
+    # 1D tiles: one banded U over the flat axis, no pad
     return VectorProgram(
         program=program,
         kind="1d",

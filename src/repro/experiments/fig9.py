@@ -84,7 +84,7 @@ def run_fig9(
         fp = cached_footprint(method, measure_grid)
         base_t = time_per_point(fp, method.traits(), machine)
         # per-block shared footprint of the fused kernel's block tile
-        h = method._engine_radius()
+        h = method.plan.radius
         k_pad = ((8 + 2 * h + 3) // 4) * 4
         w_pad = ((8 + 2 * h + 7) // 8) * 8
         smem_bytes = (32 + k_pad - 8) * (64 + w_pad - 8) * 8

@@ -169,8 +169,8 @@ def halo_frame_checksums(window: np.ndarray, depth: int) -> tuple[float, ...]:
 class SweepGuard:
     """Verification + recovery hooks for one guarded block sweep.
 
-    ``reference`` is the engine's *oracle* tile provider
-    (``tile_source(oracle=True)``); the guard replays it on a private
+    ``reference`` is the plane kernel's *oracle* tile provider (the
+    eager ``compute_tile``); the guard replays it on a private
     scratch warp with its own counter ledger, so the reference is
     immune to warp-level injection and the device's event footprint
     only grows by genuine recovery work (retries/restages).
@@ -336,18 +336,19 @@ class SweepGuard:
 
 
 def make_guard(
-    engine,
+    reference: Callable[..., np.ndarray],
     verify,
     policy: RecoveryPolicy | None = None,
     report: FaultReport | None = None,
     label: str = "",
 ) -> SweepGuard | None:
-    """Build a :class:`SweepGuard` for an engine, or ``None`` if off."""
+    """Build a :class:`SweepGuard` around the oracle tile provider
+    ``reference``, or ``None`` if ``verify`` is off."""
     mode = validate_verify_mode(verify)
     if mode is None:
         return None
     return SweepGuard(
-        engine.tile_source(oracle=True),
+        reference,
         policy=policy,
         report=report,
         label=label,

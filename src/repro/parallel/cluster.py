@@ -22,8 +22,6 @@ One phase-driven loop serves every mode:
 It produces the exact global trajectory (validated against the
 single-grid reference) plus a scaling-time model
 (:class:`ClusterTimings`) with an NVLink-like interconnect.
-:class:`SimulatedCluster` remains as the thin 2D convenience wrapper
-the earlier tests and benchmarks use.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from repro.perf.costmodel import time_per_point
 from repro.perf.machine import A100, MachineSpec
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
+from repro.tcu.device import Device
 from repro.telemetry.context import TraceContext
 from repro.telemetry.health import HEALTH
 from repro.telemetry.log import emit as emit_event
@@ -67,7 +66,6 @@ from repro.telemetry.spans import TRACER
 __all__ = [
     "ClusterRuntime",
     "ClusterResult",
-    "SimulatedCluster",
     "ClusterTimings",
     "NVLINK_BANDWIDTH",
     "NVLINK_LATENCY",
@@ -636,13 +634,13 @@ class ClusterRuntime:
                                 def apply_fn(win, _acc=local):
                                     if _acc is None:
                                         return runtime.apply(win)
-                                    out, ev = runtime.apply_simulated(
+                                    out, ev = runtime.sweep(
                                         win,
+                                        resolved,
+                                        Device(injector=injector),
                                         verify=verify,
-                                        faults=injector,
                                         policy=policy,
                                         report=report,
-                                        backend=resolved,
                                     )
                                     _acc += ev
                                     return out
@@ -1070,64 +1068,3 @@ class ClusterRuntime:
             points=int(np.prod(self.plan.global_shape)),
             block_steps=block_steps,
         )
-
-
-class SimulatedCluster:
-    """The 2D convenience wrapper over :class:`ClusterRuntime`.
-
-    Keeps the original surface (``weights`` / ``part`` / ``halo`` /
-    ``engines``, ``run`` returning the bare field, ``timings``) while
-    executing everything through a :class:`DistributedPlan` — so
-    ``run(..., simulate=True, backend=...)`` and the temporal/overlap
-    modes are available here too.
-    """
-
-    def __init__(
-        self,
-        weights: StencilWeights,
-        global_shape: tuple[int, int],
-        mesh: tuple[int, int],
-        boundary: str = "constant",
-        machine: MachineSpec = A100,
-    ) -> None:
-        if weights.ndim != 2:
-            raise ValueError(
-                f"SimulatedCluster supports 2D stencils, got {weights.ndim}D"
-            )
-        self.weights = weights
-        self.machine = machine
-        self.plan = distribute(
-            weights, global_shape, mesh, boundary=boundary
-        )
-        self.runtime = ClusterRuntime(self.plan, machine=machine)
-        self.part: Partition = self.plan.part
-        self.halo = self.runtime.halo
-        # the plan cache collapses the mesh onto one compiled plan; the
-        # per-rank engine views are shared read-only references
-        self.engines = {
-            sub.rank: self.plan.compiled.engine
-            for sub in self.part.subdomains
-        }
-
-    def scatter(self, global_field: np.ndarray) -> dict[int, np.ndarray]:
-        """Distribute a global field onto the device mesh."""
-        return self.runtime.scatter(global_field)
-
-    def gather(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Reassemble the global field."""
-        return self.runtime.gather(blocks)
-
-    def run(
-        self, global_field: np.ndarray, steps: int, **kwargs
-    ) -> np.ndarray:
-        """Timestep the global problem; returns the final global field.
-
-        ``**kwargs`` pass through to :meth:`ClusterRuntime.run`
-        (``overlap=``, ``executor=``, ``simulate=``, ``block_steps=``,
-        fault-tolerance arguments, ...).
-        """
-        return self.runtime.run(global_field, steps, **kwargs).field
-
-    def timings(self, steps: int = 1, **kwargs) -> ClusterTimings:
-        """Modelled per-step time (see :meth:`ClusterRuntime.timings`)."""
-        return self.runtime.timings(steps, **kwargs)

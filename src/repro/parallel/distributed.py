@@ -6,8 +6,8 @@ dimension (1D/2D/3D), both boundaries, and all three executors
 
 * :func:`advance_window` — advance ``steps`` local timesteps on a
   halo-deep window, re-imposing the global Dirichlet boundary on
-  out-of-domain cells between steps (the exact trapezoid of
-  ``run_temporal_blocked``, generalized to N dimensions);
+  out-of-domain cells between steps (the exact trapezoid of a temporal
+  round, in any dimension);
 * :func:`frame_regions` — split a block's output region into a
   ``depth``-inset interior and the boundary frame strips.  The interior
   depends only on the rank's own block, so it computes *while the halo
@@ -186,9 +186,7 @@ def _process_worker(payload: dict) -> dict:
     def apply_fn(win: np.ndarray) -> np.ndarray:
         if counters is None:
             return compiled.runtime.apply(win)
-        out, ev = compiled.runtime.apply_simulated(
-            win, backend=payload["backend"]
-        )
+        out, ev = compiled.runtime.sweep(win, payload["backend"])
         counters.__iadd__(ev)
         return out
 

@@ -1,6 +1,6 @@
 """``repro.runtime`` — compile-once stencil plans and their executors.
 
-The runtime separates the two phases the engines used to fuse:
+The runtime separates the two phases of executing a stencil:
 
 * **compile** (:func:`repro.runtime.compile`): derive everything grid-
   independent — PMA/SVD decomposition, banded ``U``/``V`` gather

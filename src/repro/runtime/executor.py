@@ -3,21 +3,22 @@
 A :class:`Runtime` binds one compiled :class:`~repro.runtime.plan.StencilPlan`
 to its execution strategies:
 
-* :meth:`Runtime.apply` — one grid, the plan engine's functional path;
-* :meth:`Runtime.apply_batch` — many same-shaped grids at once.  The
-  rank-1 term loops run *once* for the whole batch with NumPy
-  broadcasting over the leading batch axis, so the per-call Python
-  overhead (the compile-per-call tax this subsystem exists to remove)
-  is paid once per batch instead of once per grid;
+* :meth:`Runtime.apply` / :meth:`Runtime.apply_batch` — the functional
+  path, one :func:`repro.core.functional.apply_planes` call per grid or
+  per batch (the batch axis broadcasts), so the per-call Python
+  overhead is paid once per batch instead of once per grid;
 * :meth:`Runtime.apply_batch_threaded` — the same batch fanned out over
   a :mod:`concurrent.futures` thread pool (NumPy releases the GIL in
   its inner loops), for batches of grids too large to stack;
-* :meth:`Runtime.apply_simulated` / :meth:`Runtime.apply_simulated_batch`
-  / :meth:`Runtime.apply_simulated_sharded` — the faithful TCU path.
-  Sharded variants give every shard its own
-  :class:`~repro.tcu.device.Device` and merge the per-shard
+* :meth:`Runtime.apply_simulated` — the faithful TCU path, and the one
+  place a simulated call resolves its backend and sets up fault
+  tolerance.  ``shards > 1`` gives every shard its own
+  :class:`~repro.tcu.device.Device` and merges the per-shard
   :class:`~repro.tcu.counters.EventCounters` into one footprint, the
-  way per-SM counters aggregate on real hardware.
+  way per-SM counters aggregate on real hardware;
+* :meth:`Runtime.sweep` — one sweep under an already resolved backend
+  (:func:`repro.core.sweep.simulate`), which every simulated path, the
+  cluster ranks included, runs.
 
 Shard boundaries align to the plan's warp-tile rows, so a sharded sweep
 computes exactly the same tiles as an unsharded one (identical
@@ -32,17 +33,17 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import telemetry
+from repro.core.functional import apply_planes
+from repro.core.sweep import simulate, validate_padded
 from repro.errors import (
     ExecutionError,
     InputValidationError,
+    PerfError,
     ReproError,
     ShapeError,
 )
-from repro.runtime.backends import (
-    ORACLE_UNSET as _ORACLE_UNSET,
-    resolve_backend,
-    shim_oracle as _shim_oracle,
-)
+from repro.runtime.backends import resolve_backend
 from repro.runtime.plan import StencilPlan
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -102,22 +103,20 @@ class Runtime:
         """Apply the plan to one padded grid; returns the interior."""
         padded = np.asarray(padded, dtype=np.float64)
         _validate_finite(padded)
-        return self.plan.engine.apply(padded)
+        padded, _ = validate_padded(padded, self.plan.ndim, self.plan.radius)
+        return apply_planes(self.plan.planes, padded, self.plan.ndim)
 
     def apply_batch(self, grids: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
         """Apply the plan to a batch of equally shaped padded grids.
 
         ``grids`` is a sequence of padded arrays (or one stacked array
         with a leading batch axis); returns the stacked interiors with
-        the same leading axis.  Mathematically identical to looping
-        :meth:`apply`, but the term loops broadcast over the whole batch.
+        the same leading axis.  Bit-identical to looping :meth:`apply`,
+        but the term loops broadcast over the whole batch.
         """
         batch = self._stack(grids)
-        if self.plan.ndim == 1:
-            return self._batch_1d(batch)
-        if self.plan.ndim == 2:
-            return self._batch_2d(batch)
-        return self._batch_3d(batch)
+        validate_padded(batch[0], self.plan.ndim, self.plan.radius)
+        return apply_planes(self.plan.planes, batch, self.plan.ndim)
 
     def apply_batch_threaded(
         self,
@@ -136,101 +135,150 @@ class Runtime:
 
         def _apply_grid(i: int, grid: np.ndarray) -> np.ndarray:
             with ctx.span("runtime.batch_grid", category="runtime", grid=i):
-                return self.plan.engine.apply(grid)
+                return self.apply(grid)
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_apply_grid, i, grid)
-                for i, grid in enumerate(batch)
-            ]
-            outs = []
-            for i, future in enumerate(futures):
-                try:
-                    outs.append(future.result())
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"grid {i} of {len(futures)} in threaded batch "
-                        f"failed: {exc}"
-                    ) from exc
-        return np.stack(outs)
+        return np.stack(
+            self._gather(
+                self._fan_out(_apply_grid, list(enumerate(batch)), max_workers),
+                "grid {i} of {n} in threaded batch",
+            )
+        )
 
     # ------------------------------------------------------------------
     # simulated paths
     # ------------------------------------------------------------------
-    def apply_simulated(
+    def sweep(
         self,
         padded: np.ndarray,
+        backend: str,
         device: Device | None = None,
-        oracle=_ORACLE_UNSET,
         profiler=None,
         verify=None,
-        faults=None,
         policy=None,
         report=None,
-        backend: str | None = None,
     ) -> tuple[np.ndarray, EventCounters]:
-        """One faithful TCU sweep; returns ``(interior, counters)``.
+        """One simulated sweep under an already resolved ``backend``.
 
-        ``backend`` selects the execution backend (``"interpreter"`` |
-        ``"vectorized"`` | ``"oracle"``), defaulting to the plan's
-        compiled-in backend; the interpreter steps the plan's lowered
-        tile program, ``"oracle"`` runs the engine's eager tile
-        computation instead (the correctness oracle the schedule-
-        equivalence suite compares against — results are guaranteed
-        bit-identical), and ``"vectorized"`` batches every tile of the
-        sweep (bit-identical grids and counters, but no fault
-        tolerance).  The ``oracle=`` flag is deprecated: passing it
-        warns, and ``oracle=True`` maps to ``backend="oracle"``.
-        ``profiler`` opts into per-instruction attribution (see
-        :mod:`repro.telemetry.perf`).
-
-        ``verify="abft"`` checksum-verifies every tile and staging copy
-        (tolerance 0) with recovery bounded by ``policy`` (a
-        :class:`repro.faults.RecoveryPolicy`); ``faults`` (a
-        :class:`repro.faults.FaultPlan` or armed
-        :class:`repro.faults.FaultInjector`) injects deterministic
-        corruption; both tally into ``report`` (a
-        :class:`repro.faults.FaultReport`).
+        Rejects NaN/Inf inputs, then runs
+        :func:`repro.core.sweep.simulate`; ``device`` carries a fault
+        injector when one is armed.  Returns ``(interior, counters)``.
         """
-        backend = _shim_oracle(oracle, backend)
-        fault_mode = (
-            bool(verify)
-            or faults is not None
-            or policy is not None
-            or report is not None
-        )
-        backend = resolve_backend(
-            backend, plan_default=self.plan.backend, fault_mode=fault_mode
-        )
         padded = np.asarray(padded, dtype=np.float64)
         _validate_finite(padded)
-        if faults is not None:
-            from repro.faults import as_injector
-
-            injector = as_injector(faults)
-            if device is None:
-                device = Device(injector=injector)
-            else:
-                device.injector = injector
-            if report is None:
-                report = injector.report
-        if verify and report is None:
-            from repro.faults import FaultReport
-
-            report = FaultReport()
-        if report is not None:
-            self.last_fault_report = report
-        return self.plan.engine.apply_simulated(
+        return simulate(
+            self.plan,
             padded,
+            backend,
             device=device,
             profiler=profiler,
             verify=verify,
             policy=policy,
             report=report,
-            backend=backend,
         )
+
+    def apply_simulated(
+        self,
+        padded: np.ndarray,
+        device: Device | None = None,
+        shards: int = 1,
+        max_workers: int | None = None,
+        profiler=None,
+        verify=None,
+        faults=None,
+        policy=None,
+        backend: str | None = None,
+    ) -> tuple[np.ndarray, EventCounters]:
+        """Faithful TCU sweep; returns ``(interior, counters)``.
+
+        ``backend`` selects the execution backend (``"interpreter"`` |
+        ``"vectorized"`` | ``"oracle"``), defaulting to the plan's
+        compiled-in backend, and is resolved once here (see
+        :func:`~repro.runtime.backends.resolve_backend`).  The
+        interpreter steps the plan's lowered tile program;
+        ``"oracle"`` runs the eager tile math instead — bit-identical by
+        the schedule-equivalence guarantee; ``"vectorized"`` batches
+        every tile of the sweep with bit-identical numerics and
+        counters, but rejects fault-tolerant execution (below) with a
+        :class:`~repro.errors.BackendError`.  ``profiler`` opts the
+        single-shard sweep into per-instruction attribution (see
+        :mod:`repro.telemetry.perf`).
+
+        ``shards > 1`` splits the sweep along the first interior axis
+        over a thread pool, one simulated device per shard (``device``
+        is then ignored).  Any worker exception is wrapped in a typed
+        :class:`~repro.errors.ExecutionError` carrying the shard index
+        and row range.  Under fault tolerance shards are *supervised*:
+        a crashed worker or one exceeding the policy's per-shard
+        timeout is resubmitted with capped exponential backoff, then
+        recomputed inline as graceful degradation; only an exhausted
+        policy raises a typed :class:`~repro.errors.FaultError` — never
+        a partial grid.
+
+        Fault tolerance (see :mod:`repro.faults` and
+        ``docs/robustness.md``): ``verify="abft"`` checksum-verifies
+        every tile and staging copy at tolerance 0, recovering
+        corrupted work under ``policy`` (a
+        :class:`repro.faults.RecoveryPolicy`); ``faults`` (a
+        :class:`repro.faults.FaultPlan` or
+        :class:`repro.faults.FaultInjector`) arms deterministic fault
+        injection.  The ledger is exposed as :attr:`last_fault_report`
+        and folded into the metrics registry when telemetry is on.
+        """
+        if profiler is not None and shards > 1:
+            raise PerfError(
+                "per-instruction profiling does not support sharded "
+                "execution (profiler accumulators are per-thread)"
+            )
+        fault_mode = bool(verify) or faults is not None or policy is not None
+        injector = report = before = None
+        if fault_mode:
+            from repro.faults import FaultReport, RecoveryPolicy, as_injector
+
+            injector = as_injector(faults)
+            report = injector.report if injector is not None else FaultReport()
+            before = report.snapshot()
+            if shards > 1:
+                policy = policy or RecoveryPolicy()
+            self.last_fault_report = report
+        with telemetry.span(
+            "runtime.apply_simulated",
+            category="runtime",
+            plan=self.plan.key[:16],
+            shards=shards,
+        ) as sp:
+            # resolved inside the span so a backend.downgrade decision
+            # joins the sweep's trace like every other decision
+            backend = resolve_backend(
+                backend, plan_default=self.plan.backend, fault_mode=fault_mode
+            )
+            if shards > 1:
+                out, events = self._sharded(
+                    padded, shards, max_workers, backend,
+                    injector, verify, policy, report,
+                )
+            else:
+                if injector is not None:
+                    device = device if device is not None else Device()
+                    device.injector = injector
+                out, events = self.sweep(
+                    padded,
+                    backend,
+                    device,
+                    profiler=profiler,
+                    verify=verify,
+                    policy=policy,
+                    report=report,
+                )
+            sp.add_events(events)
+            telemetry.absorb_events(events)
+            if report is not None:
+                sp.annotate(
+                    faults_injected=report.total_injected,
+                    faults_detected=report.total_detected,
+                    faults_recovered=report.total_recovered,
+                )
+                telemetry.absorb_faults(report.delta(before))
+        return out, events
 
     def apply_simulated_batch(
         self,
@@ -239,119 +287,50 @@ class Runtime:
     ) -> tuple[np.ndarray, EventCounters]:
         """Simulated sweep of every grid in the batch, grid-sharded.
 
-        Each grid runs on its own :class:`~repro.tcu.device.Device` in a
-        thread pool; the per-grid counters merge by summation into one
-        batch footprint.  Returns ``(stacked interiors, merged counters)``.
+        Each grid runs under the plan's backend on its own
+        :class:`~repro.tcu.device.Device` in a thread pool; the per-grid
+        counters merge by summation into one batch footprint.  Returns
+        ``(stacked interiors, merged counters)``.
         """
         batch = self._stack(grids)
         ctx = TraceContext.capture()
 
-        def _run_grid(item):
-            i, grid = item
+        def _run_grid(i: int, grid: np.ndarray):
             with ctx.span(
                 "runtime.batch_grid", category="runtime", grid=i
             ) as sp:
-                out, counters = self.apply_simulated(grid, device=Device())
+                out, counters = self.sweep(grid, self.plan.backend, Device())
                 sp.add_events(counters)
                 return out, counters
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(_run_grid, (i, grid))
-                for i, grid in enumerate(batch)
-            ]
-            results = []
-            for i, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExecutionError(
-                        f"grid {i} of {len(futures)} in simulated batch "
-                        f"failed: {exc}"
-                    ) from exc
-        outs = np.stack([out for out, _ in results])
+        results = self._gather(
+            self._fan_out(_run_grid, list(enumerate(batch)), max_workers),
+            "grid {i} of {n} in simulated batch",
+        )
         merged = EventCounters()
         for _, counters in results:
             merged += counters
-        return outs, merged
+        return np.stack([out for out, _ in results]), merged
 
-    def apply_simulated_sharded(
-        self,
-        padded: np.ndarray,
-        shards: int = 2,
-        max_workers: int | None = None,
-        verify=None,
-        faults=None,
-        policy=None,
-        report=None,
-        backend: str | None = None,
+    def _sharded(
+        self, padded, shards, max_workers, backend, injector, verify, policy, report
     ) -> tuple[np.ndarray, EventCounters]:
-        """One grid's simulated sweep, tile-sharded along the first axis.
+        """One grid's sweep, tile-sharded along the first interior axis.
 
         The interior splits into ``shards`` contiguous chunks aligned to
         the plan's warp-tile rows; each shard sweeps its halo-extended
         sub-grid on a private device, and the per-shard counters merge
-        into one footprint.  With ``shards=1`` this is exactly
-        :meth:`apply_simulated`.
-
-        Workers are not treated as infallible: any worker exception is
-        wrapped in a typed :class:`~repro.errors.ExecutionError`
-        carrying the shard index and row range.  When fault tolerance
-        is active (``verify``/``faults``/``policy`` given), shards are
-        *supervised*: a crashed worker or one exceeding the policy's
-        per-shard timeout is resubmitted with capped exponential
-        backoff, then recomputed inline in the calling thread as
-        graceful degradation; only an exhausted policy raises a typed
-        :class:`~repro.errors.FaultError` — never a partial grid.
-
-        ``backend`` threads into every shard's sweep (the vectorized
-        backend batches each shard's tiles on its private device; it
-        rejects fault-tolerant execution with a typed
-        :class:`~repro.errors.BackendError`).
+        into one footprint.
         """
-        fault_mode = (
-            bool(verify) or faults is not None or policy is not None
-        )
-        backend = resolve_backend(
-            backend, plan_default=self.plan.backend, fault_mode=fault_mode
-        )
         padded = np.asarray(padded, dtype=np.float64)
-        if padded.ndim != self.plan.ndim:
-            raise ShapeError(
-                f"expected {self.plan.ndim}D input, got {padded.ndim}D"
-            )
         _validate_finite(padded)
+        padded, interior = validate_padded(padded, self.plan.ndim, self.plan.radius)
         h = self.plan.radius
-        n0 = padded.shape[0] - 2 * h
-        if n0 <= 0:
-            raise ShapeError(
-                f"padded input {padded.shape} too small for radius {h}"
-            )
-        bounds = _shard_bounds(n0, shards, self._shard_align())
+        bounds = _shard_bounds(interior[0], shards, self._shard_align())
         ctx = TraceContext.capture()
         sweep_health = HEALTH.start_sweep(f"sharded-{self.plan.key[:12]}")
 
-        injector = None
-        if faults is not None:
-            from repro.faults import as_injector
-
-            injector = as_injector(faults)
-            if report is None:
-                report = injector.report
-        supervised = (
-            injector is not None or bool(verify) or policy is not None
-        )
-        if supervised:
-            from repro.faults import FaultReport, RecoveryPolicy
-
-            policy = policy or RecoveryPolicy()
-            report = report if report is not None else FaultReport()
-        self.last_fault_report = report
-
         def _worker(i: int, s0: int, s1: int):
-            sub = padded[s0 : s1 + 2 * h]
             with ctx.span(
                 "runtime.shard",
                 category="runtime",
@@ -363,85 +342,79 @@ class Runtime:
                 if injector is not None:
                     injector.on_shard(i)
                 with HEALTH.bind(sweep_health.shard(i, rows=f"{s0}:{s1}")):
-                    device = Device(injector=injector)
-                    out, counters = self.plan.engine.apply_simulated(
-                        sub,
-                        device=device,
+                    out, counters = self.sweep(
+                        padded[s0 : s1 + 2 * h],
+                        backend,
+                        Device(injector=injector),
                         verify=verify,
                         policy=policy,
                         report=report,
-                        backend=backend,
                     )
                     sp.add_events(counters)
                     return out, counters
 
         try:
-            if not supervised:
-                results_list = []
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    futures = [
-                        pool.submit(_worker, i, s0, s1)
-                        for i, (s0, s1) in enumerate(bounds)
-                    ]
-                    for i, future in enumerate(futures):
-                        s0, s1 = bounds[i]
-                        try:
-                            results_list.append(future.result())
-                        except ReproError:
-                            raise
-                        except Exception as exc:
-                            raise ExecutionError(
-                                f"shard {i} of {len(bounds)} (rows {s0}:{s1}) "
-                                f"failed: {exc}"
-                            ) from exc
-                results = dict(enumerate(results_list))
-            else:
-                results = self._supervise_shards(
-                    bounds, _worker, policy, report, max_workers, sweep_health
+            if report is None:
+                results = self._gather(
+                    self._fan_out(
+                        lambda i, b: _worker(i, *b), list(enumerate(bounds)), max_workers
+                    ),
+                    "shard {i} of {n} (rows {s0}:{s1})",
+                    bounds,
                 )
+            else:
+                from repro.faults.supervisor import supervise_tasks
+
+                done = supervise_tasks(
+                    dict(enumerate(bounds)),
+                    _worker,
+                    policy,
+                    report,
+                    max_workers=max_workers,
+                    health=sweep_health,
+                )
+                results = [done[i] for i in range(len(bounds))]
         finally:
             HEALTH.publish()
             HEALTH.write_file()
 
-        out = np.concatenate(
-            [results[i][0] for i in range(len(bounds))], axis=0
-        )
+        out = np.concatenate([out for out, _ in results], axis=0)
         merged = EventCounters()
-        for i in range(len(bounds)):
-            merged += results[i][1]
+        for _, counters in results:
+            merged += counters
         return out, merged
-
-    def _supervise_shards(
-        self, bounds, worker, policy, report, max_workers, sweep_health=None
-    ) -> dict[int, tuple]:
-        """Run shard workers under the recovery policy.
-
-        Delegates to the shared :func:`repro.faults.supervisor.
-        supervise_tasks` ladder (timeout/crash → capped exponential-
-        backoff resubmission → inline recomputation → typed
-        :class:`~repro.errors.FaultError`) — the same supervisor the
-        cluster runtime runs its ranks and temporal rounds under.
-        """
-        from repro.faults.supervisor import supervise_tasks
-
-        return supervise_tasks(
-            dict(enumerate(bounds)),
-            worker,
-            policy,
-            report,
-            max_workers=max_workers,
-            health=sweep_health,
-        )
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
+    @staticmethod
+    def _fan_out(fn, items, max_workers):
+        """Submit ``fn(i, item)`` for every ``(i, item)`` to a thread pool."""
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            return [pool.submit(fn, i, item) for i, item in items]
+
+    @staticmethod
+    def _gather(futures, what: str, bounds=None) -> list:
+        """Results in order; a non-repro worker error becomes a typed
+        :class:`~repro.errors.ExecutionError` naming the failed item."""
+        results = []
+        for i, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except ReproError:
+                raise
+            except Exception as exc:
+                s0, s1 = bounds[i] if bounds else (0, 0)
+                name = what.format(i=i, n=len(futures), s0=s0, s1=s1)
+                raise ExecutionError(f"{name} failed: {exc}") from exc
+        return results
+
     def _shard_align(self) -> int:
         """Interior rows per indivisible shard unit (warp-tile rows)."""
         if self.plan.ndim == 1:
             return 64
         if self.plan.ndim == 2:
-            return self.plan.engine.tile.out_rows
+            return self.plan.kernel.out_rows
         return 1  # 3D shards along z: planes are independent
 
     def _stack(self, grids: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
@@ -466,64 +439,3 @@ class Runtime:
             raise ShapeError("apply_batch needs at least one grid")
         _validate_finite(batch, "input batch")
         return batch
-
-    def _batch_1d(self, batch: np.ndarray) -> np.ndarray:
-        h = self.plan.radius
-        n = batch.shape[1] - 2 * h
-        if n <= 0:
-            raise ShapeError(
-                f"padded length {batch.shape[1]} too small for radius {h}"
-            )
-        out = np.zeros((batch.shape[0], n), dtype=np.float64)
-        for t, wt in enumerate(self.plan.engine.weight_vector):
-            out += wt * batch[:, t : t + n]
-        return out
-
-    def _batch_2d(self, batch: np.ndarray) -> np.ndarray:
-        return _batched_2d(self.plan.engine, batch)
-
-    def _batch_3d(self, batch: np.ndarray) -> np.ndarray:
-        h = self.plan.radius
-        zs, rs, cs = (s - 2 * h for s in batch.shape[1:])
-        if min(zs, rs, cs) <= 0:
-            raise ShapeError(
-                f"padded batch {batch.shape[1:]} too small for radius {h}"
-            )
-        b = batch.shape[0]
-        out = np.zeros((b, zs, rs, cs), dtype=np.float64)
-        for task in self.plan.engine.planes:
-            if task.pointwise is not None:
-                pi, pj, wt = task.pointwise
-                out += wt * batch[
-                    :,
-                    task.index : task.index + zs,
-                    pi : pi + rs,
-                    pj : pj + cs,
-                ]
-            elif task.engine is not None:
-                slabs = batch[:, task.index : task.index + zs]
-                folded = slabs.reshape(b * zs, *slabs.shape[2:])
-                out += _batched_2d(task.engine, folded).reshape(b, zs, rs, cs)
-        return out
-
-
-def _batched_2d(engine, batch: np.ndarray) -> np.ndarray:
-    """Sum of separable rank-1 filters over a stack of padded 2D grids."""
-    h = engine.radius
-    rows, cols = batch.shape[1] - 2 * h, batch.shape[2] - 2 * h
-    if rows <= 0 or cols <= 0:
-        raise ShapeError(
-            f"padded batch {batch.shape[1:]} too small for radius {h}"
-        )
-    b = batch.shape[0]
-    out = np.zeros((b, rows, cols), dtype=np.float64)
-    for term in engine.decomposition.matrix_terms:
-        pd, s = term.pad, term.size
-        tmp = np.zeros((b, rows, batch.shape[2]), dtype=np.float64)
-        for t in range(s):
-            tmp += term.u[t] * batch[:, pd + t : pd + t + rows, :]
-        for r in range(s):
-            out += term.v[r] * tmp[:, :, pd + r : pd + r + cols]
-    for term in engine.decomposition.scalar_terms:
-        out += term.scalar_weight * batch[:, h : h + rows, h : h + cols]
-    return out

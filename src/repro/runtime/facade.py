@@ -1,6 +1,6 @@
 """The unified ``repro.compile`` entry point.
 
-One call replaces the three engine constructors::
+One call compiles any 1D/2D/3D stencil into a cached plan::
 
     compiled = repro.compile(weights)          # ndim inferred
     out = compiled.apply(padded)               # old pad convention
@@ -20,13 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.runtime.backends import (
-    ORACLE_UNSET as _ORACLE_UNSET,
-    default_backend,
-    get_backend,
-    resolve_backend,
-    shim_oracle as _shim_oracle,
-)
+from repro.runtime.backends import default_backend, get_backend
 from repro.runtime.cache import PlanCache
 from repro.runtime.executor import Runtime
 from repro.runtime.plan import StencilPlan, build_plan, plan_key
@@ -48,8 +42,8 @@ class CompiledStencil:
     """A compiled stencil: one plan plus every way to execute it.
 
     Thin handle over ``(StencilPlan, Runtime)``; cheap to construct,
-    safe to share across threads (the plan is immutable and the engines
-    are read-only after compilation).
+    safe to share across threads (the plan and its lowered program are
+    read-only after compilation).
     """
 
     def __init__(self, plan: StencilPlan, cache: PlanCache | None = None) -> None:
@@ -77,11 +71,6 @@ class CompiledStencil:
     def rank(self) -> int:
         """Number of rank-1 terms in the plan's decomposition."""
         return self.plan.rank
-
-    @property
-    def engine(self):
-        """The underlying ``LoRAStencil{1,2,3}D`` engine instance."""
-        return self.plan.engine
 
     @property
     def lowered(self):
@@ -168,7 +157,6 @@ class CompiledStencil:
         device: Device | None = None,
         shards: int = 1,
         max_workers: int | None = None,
-        oracle=_ORACLE_UNSET,
         profiler=None,
         verify=None,
         faults=None,
@@ -177,96 +165,21 @@ class CompiledStencil:
     ) -> tuple[np.ndarray, EventCounters]:
         """Faithful TCU sweep; returns ``(interior, counters)``.
 
-        ``backend`` selects the execution backend (``"interpreter"`` |
-        ``"vectorized"`` | ``"oracle"``); it defaults to the plan's
-        compiled-in backend.  The interpreter steps the plan's lowered
-        tile program; ``backend="oracle"`` runs the eager tile path
-        instead — bit-identical by the schedule-equivalence guarantee;
-        ``backend="vectorized"`` batches every tile of the sweep with
-        bit-identical numerics and counters, but rejects fault-tolerant
-        execution (below) with a :class:`~repro.errors.BackendError`.
-        The ``oracle=`` flag is deprecated: passing it warns, and
-        ``oracle=True`` maps to ``backend="oracle"``.
-        ``shards > 1`` splits the sweep along the first interior axis
-        over a thread pool, one simulated device per shard, and merges
-        the per-shard event counters (``device`` is then ignored).
-        ``profiler`` opts the single-shard sweep into per-instruction
-        attribution; the profiler accumulators are not thread-safe, so
-        it cannot be combined with ``shards > 1``.
-
-        Fault tolerance (see :mod:`repro.faults` and
-        ``docs/robustness.md``): ``verify="abft"`` checksum-verifies
-        every tile and staging copy at tolerance 0, recovering
-        corrupted work under ``policy`` (a
-        :class:`repro.faults.RecoveryPolicy`, also governing shard
-        timeout/retry when sharded); ``faults`` (a
-        :class:`repro.faults.FaultPlan` or
-        :class:`repro.faults.FaultInjector`) arms deterministic fault
-        injection.  The resulting ledger is exposed as
-        :attr:`last_fault_report`, folded into the metrics registry
-        when telemetry is on, and stamped into run-records' ``faults``
-        section.
+        See :meth:`repro.runtime.executor.Runtime.apply_simulated` for
+        the backends, sharding and fault tolerance; the fault ledger of
+        the call is :attr:`last_fault_report`.
         """
-        if profiler is not None and shards > 1:
-            from repro.errors import PerfError
-
-            raise PerfError(
-                "per-instruction profiling does not support sharded "
-                "execution (profiler accumulators are per-thread)"
-            )
-        backend = _shim_oracle(oracle, backend)
-        fault_mode = bool(verify) or faults is not None or policy is not None
-        report = None
-        before = None
-        if fault_mode:
-            from repro.faults import FaultReport, as_injector
-
-            faults = as_injector(faults)
-            report = faults.report if faults is not None else FaultReport()
-            before = report.snapshot()
-        with telemetry.span(
-            "runtime.apply_simulated",
-            category="runtime",
-            plan=self.key[:16],
+        return self.runtime.apply_simulated(
+            padded,
+            device=device,
             shards=shards,
-        ) as sp:
-            # resolved inside the span so a backend.downgrade decision
-            # joins the sweep's trace like every other decision
-            backend = resolve_backend(
-                backend, plan_default=self.plan.backend, fault_mode=fault_mode
-            )
-            if shards > 1:
-                out, events = self.runtime.apply_simulated_sharded(
-                    padded,
-                    shards=shards,
-                    max_workers=max_workers,
-                    verify=verify,
-                    faults=faults,
-                    policy=policy,
-                    report=report,
-                    backend=backend,
-                )
-            else:
-                out, events = self.runtime.apply_simulated(
-                    padded,
-                    device=device,
-                    profiler=profiler,
-                    verify=verify,
-                    faults=faults,
-                    policy=policy,
-                    report=report,
-                    backend=backend,
-                )
-            sp.add_events(events)
-            telemetry.absorb_events(events)
-            if report is not None:
-                sp.annotate(
-                    faults_injected=report.total_injected,
-                    faults_detected=report.total_detected,
-                    faults_recovered=report.total_recovered,
-                )
-                telemetry.absorb_faults(report.delta(before))
-            return out, events
+            max_workers=max_workers,
+            profiler=profiler,
+            verify=verify,
+            faults=faults,
+            policy=policy,
+            backend=backend,
+        )
 
     def profile(
         self,
@@ -323,7 +236,7 @@ def compile(
 ) -> CompiledStencil:
     """Compile (or fetch from cache) a stencil execution plan.
 
-    The single entry point unifying ``LoRAStencil1D/2D/3D``: dimension
+    The single entry point for 1D, 2D and 3D stencils: dimension
     is inferred from the weights (or forced via ``ndim``), the heavy
     derivation work happens at most once per distinct
     ``(weights, config, tile_shape, dtype, backend)`` thanks to the

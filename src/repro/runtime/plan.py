@@ -7,7 +7,7 @@ alone — independent of any particular grid:
 * the rank-1 decomposition (PMA pyramid or SVD) for 2D kernels, or the
   per-plane decompositions of the 3D plane split;
 * the banded ``U``/``V`` gather matrices and their register fragments
-  (owned by the plan's engine);
+  (the kernels of :attr:`StencilPlan.planes`);
 * the BVS row permutation applied to ``V``;
 * the **lowered program** — the scheduled
   :class:`~repro.tcu.program.TileProgram` artifact produced by the
@@ -37,11 +37,9 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.config import OptimizationConfig
-from repro.core.engine1d import DEFAULT_BLOCK_1D, LoRAStencil1D
-from repro.core.engine2d import DEFAULT_BLOCK_2D, LoRAStencil2D
-from repro.core.engine3d import DEFAULT_BLOCK_3D, LoRAStencil3D
-from repro.core.lowering import LoweredProgram, lower
+from repro.core.lowering import LoweredProgram, Plane, lower
 from repro.core.lowrank import Decomposition
+from repro.core.sweep import DEFAULT_BLOCKS
 from repro.core.uvbuild import butterfly_row_order
 from repro.errors import ShapeError
 from repro.stencil.weights import StencilWeights
@@ -144,7 +142,6 @@ class StencilPlan:
     config: OptimizationConfig
     tile_shape: tuple[int, int] | None
     dtype: str
-    engine: LoRAStencil1D | LoRAStencil2D | LoRAStencil3D = field(repr=False)
     decomposition: Decomposition | None
     block: tuple[int, ...]
     lowered: LoweredProgram = field(repr=False)
@@ -166,13 +163,35 @@ class StencilPlan:
         return self.decomposition.rank if self.decomposition else 0
 
     @property
+    def planes(self) -> tuple[Plane, ...]:
+        """The kernel planes the sweeps execute (one for 1D/2D plans)."""
+        return self.lowered.planes
+
+    @property
+    def kernel(self):
+        """The gather kernel of a 1D/2D plan: a
+        :class:`~repro.core.rdg.BandedTile1D` or
+        :class:`~repro.core.rdg.RDGTileCompute` (``None`` for 3D)."""
+        return self.planes[0].kernel if self.ndim != 3 else None
+
+    @property
+    def tensor_core_planes(self) -> list[int]:
+        """Kernel plane indices executed on the TCU."""
+        return [p.index for p in self.planes if p.kernel is not None]
+
+    @property
+    def cuda_core_planes(self) -> list[int]:
+        """Kernel plane indices executed point-wise on CUDA cores."""
+        return [p.index for p in self.planes if p.pointwise is not None]
+
+    @property
     def plane_decompositions(self) -> tuple[Decomposition | None, ...]:
         """Per-plane decompositions of a 3D plan (empty otherwise)."""
         if self.ndim != 3:
             return ()
         return tuple(
-            t.engine.decomposition if t.engine is not None else None
-            for t in self.engine.planes
+            p.kernel.decomposition if p.kernel is not None else None
+            for p in self.planes
         )
 
     @property
@@ -180,14 +199,14 @@ class StencilPlan:
         """Banded vertical-gather matrices ``U`` (2D plans)."""
         if self.ndim != 2:
             return ()
-        return tuple(self.engine.tile._u_mats)
+        return tuple(self.kernel._u_mats)
 
     @property
     def v_matrices(self) -> tuple[np.ndarray, ...]:
         """Banded horizontal-gather matrices ``V`` (2D plans)."""
         if self.ndim != 2:
             return ()
-        return tuple(self.engine.tile._v_mats)
+        return tuple(self.kernel._v_mats)
 
     def abft_checksums(self) -> tuple[dict[str, np.ndarray], ...]:
         """Per-term ABFT checksum vectors for the rank-1 MM chain.
@@ -217,7 +236,7 @@ class StencilPlan:
         """BVS row permutation applied to ``V`` (None when BVS is off)."""
         if self.ndim != 2 or not self.config.use_bvs:
             return None
-        return butterfly_row_order(self.engine.tile.w_cols)
+        return butterfly_row_order(self.kernel.w_cols)
 
     @property
     def program(self) -> TileProgram | tuple[TileProgram | None, ...] | None:
@@ -245,14 +264,8 @@ class StencilPlan:
     @property
     def mma_per_tile(self) -> int:
         """MMA instructions one warp tile costs under this plan."""
-        if self.ndim == 1:
-            return self.engine.mma_per_tile
-        if self.ndim == 2:
-            return self.engine.tile.mma_per_tile
         return sum(
-            t.engine.tile.mma_per_tile
-            for t in self.engine.planes
-            if t.engine is not None
+            p.kernel.mma_per_tile for p in self.planes if p.kernel is not None
         )
 
     # -- predicted cost ---------------------------------------------------
@@ -323,9 +336,8 @@ class StencilPlan:
             )
             lines.insert(3, f"  terms           [{terms}]")
         if self.ndim == 3:
-            tc = self.engine.tensor_core_planes
-            cc = self.engine.cuda_core_planes
-            lines.insert(3, f"  planes          {len(tc)} TCU / {len(cc)} CUDA")
+            tc, cc = len(self.tensor_core_planes), len(self.cuda_core_planes)
+            lines.insert(3, f"  planes          {tc} TCU / {cc} CUDA")
         return "\n".join(lines)
 
 
@@ -342,7 +354,7 @@ def build_plan(
     This is the slow path :func:`repro.compile` runs on a cache miss: it
     drives the :mod:`repro.core.lowering` pass pipeline — decomposition,
     canonical tile IR, instruction scheduling, operand vectorization —
-    and wraps the engine and the lowered program in an immutable plan.
+    and wraps the lowered program in an immutable plan.
     ``backend`` (default: :func:`~repro.runtime.backends.default_backend`)
     becomes the plan's apply-path default.
     """
@@ -363,16 +375,7 @@ def build_plan(
 
     if nd != 2 and tile_shape is not None:
         raise ShapeError("tile_shape applies to 2D plans only")
-    engine, lowered = lower(arr, nd, config=cfg, tile_shape=tile_shape)
-    if nd == 1:
-        decomposition = None
-        block: tuple[int, ...] = (DEFAULT_BLOCK_1D,)
-    elif nd == 2:
-        decomposition = engine.decomposition
-        block = DEFAULT_BLOCK_2D
-    else:
-        decomposition = None
-        block = DEFAULT_BLOCK_3D
+    lowered = lower(arr, nd, config=cfg, tile_shape=tile_shape)
 
     return StencilPlan(
         key=key,
@@ -382,9 +385,8 @@ def build_plan(
         config=cfg,
         tile_shape=tuple(tile_shape) if tile_shape else None,
         dtype=np.dtype(dtype).name,
-        engine=engine,
-        decomposition=decomposition,
-        block=block,
+        decomposition=lowered.planes[0].kernel.decomposition if nd == 2 else None,
+        block=DEFAULT_BLOCKS[nd],
         lowered=lowered,
         backend=backend,
     )
@@ -401,38 +403,34 @@ def _per_point_counters(plan: StencilPlan):
     c = EventCounters()
     if plan.ndim == 1:
         tile_points = 64
-        c.mma_ops = plan.engine.mma_per_tile
-        c.shared_load_requests = plan.engine.k_rows // 4
+        c.mma_ops = plan.kernel.mma_per_tile
+        c.shared_load_requests = plan.kernel.k_rows // 4
         c.global_load_bytes = 8 * tile_points
         c.global_store_bytes = 8 * tile_points
         return c, tile_points
     if plan.ndim == 2:
-        tile = plan.engine.tile
+        tile = plan.kernel
         tile_points = tile.points_per_tile
         c.mma_ops = tile.mma_per_tile
         c.shared_load_requests = tile.fragment_loads_per_tile
         # pyramid apex: one axpy (mul+add) per point per scalar term
-        c.cuda_core_flops = (
-            2 * tile_points * len(plan.engine.decomposition.scalar_terms)
-        )
+        c.cuda_core_flops = 2 * tile_points * len(tile.decomposition.scalar_terms)
         c.global_load_bytes = 8 * tile_points
         c.global_store_bytes = 8 * tile_points
         return c, tile_points
     # 3D: every output point sums all kernel planes
-    engine_tiles = [
-        t.engine.tile for t in plan.engine.planes if t.engine is not None
-    ]
-    tile_points = engine_tiles[0].points_per_tile if engine_tiles else 64
-    for task in plan.engine.planes:
-        if task.engine is not None:
-            tile = task.engine.tile
+    kernels = [p.kernel for p in plan.planes if p.kernel is not None]
+    tile_points = kernels[0].points_per_tile if kernels else 64
+    for plane in plan.planes:
+        if plane.kernel is not None:
+            tile = plane.kernel
             c.mma_ops += tile.mma_per_tile
             c.shared_load_requests += tile.fragment_loads_per_tile
             c.cuda_core_flops += 2 * tile_points  # slab accumulation axpy
             c.cuda_core_flops += (
-                2 * tile_points * len(task.engine.decomposition.scalar_terms)
+                2 * tile_points * len(tile.decomposition.scalar_terms)
             )
-        elif task.pointwise is not None:
+        elif plane.pointwise is not None:
             c.cuda_core_flops += 2 * tile_points
     # z-streaming sweep: ~one DRAM read + one write per point
     c.global_load_bytes = 8 * tile_points

@@ -4,7 +4,7 @@ The paper's claim "we implement these techniques and generalize them on
 various kernels" is exercised here: higher-order and less common shapes
 that stress every code path —
 
-* ``1D7P`` — order-3 1D (wider k-dimension in the 1D engine);
+* ``1D7P`` — order-3 1D (wider k-dimension in the 1D tile);
 * ``Star-2D9P`` — order-2 star (SVD route, rank 3);
 * ``Box-2D25P`` — order-2 box (PMA with a 3-level pyramid);
 * ``Box-2D81P`` — order-4 box: the radius the paper's Eq. 14 quotes

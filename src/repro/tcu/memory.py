@@ -98,7 +98,7 @@ class SharedMemory:
         """Fragment load with a column stride over the flattened buffer.
 
         Element ``(r, q)`` comes from flat offset ``start + q*col_stride + r``.
-        Used by the 1D engine, whose input windows are overlapping
+        Used by the 1D tile, whose input windows are overlapping
         segments of a flat buffer; like :meth:`read_fragment` it costs a
         single load request.
         """

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.rdg import RDGTileCompute
+from repro.core.rdg import BandedTile1D, RDGTileCompute
 from repro.tcu.fragment import Fragment
 from repro.tcu.layouts import FragmentKind
 from repro.tcu.memory import SharedMemory
@@ -70,11 +70,11 @@ class TileProgram:
 
     ``tile`` is the weight-holding kernel object the instructions index
     into: an :class:`~repro.core.rdg.RDGTileCompute` for 2D programs, or
-    the 1D engine (anything with ``k_rows``/``_u_frags``/``config``) for
-    programs built by :func:`build_tile_program_1d`.
+    a :class:`~repro.core.rdg.BandedTile1D` for programs built by
+    :func:`build_tile_program_1d`.
     """
 
-    tile: "RDGTileCompute | object"
+    tile: "RDGTileCompute | BandedTile1D"
     instrs: list[Instr]
 
     def writers(self) -> dict[str, int]:
@@ -302,19 +302,19 @@ def execute_program(
 # ---------------------------------------------------------------------------
 # 1D programs (Section IV-C: single gather, no MCM/BVS/pyramid)
 # ---------------------------------------------------------------------------
-def build_tile_program_1d(engine) -> TileProgram:
+def build_tile_program_1d(tile) -> TileProgram:
     """Emit the canonical program for one 1D warp tile (64 outputs).
 
-    ``engine`` is a :class:`~repro.core.engine1d.LoRAStencil1D` (or any
-    object exposing ``k_rows``, ``_u_frags`` and ``config``).  The 1D
+    ``tile`` is a :class:`~repro.core.rdg.BandedTile1D` (or any object
+    exposing ``k_rows``, ``u_frags`` and ``config``).  The 1D
     computation is a single accumulator chain: one strided ``load_x``
     per k-block of the window plus one ``mma`` against the banded ``U``
     fragment, so the only scheduling freedom is load placement.
     """
-    if not engine.config.use_tensor_cores:
+    if not tile.config.use_tensor_cores:
         raise ValueError("tile programs target the tensor-core configuration")
     instrs: list[Instr] = []
-    kb_n = engine.k_rows // 4
+    kb_n = tile.k_rows // 4
     for kb in range(kb_n):
         instrs.append(
             Instr(op="load_x", dst=(f"x{kb}",), srcs=(), meta={"kb": kb})
@@ -331,7 +331,7 @@ def build_tile_program_1d(engine) -> TileProgram:
             )
         )
         acc = dst
-    program = TileProgram(tile=engine, instrs=instrs)
+    program = TileProgram(tile=tile, instrs=instrs)
     program.writers()  # sanity: SSA property
     return program
 
@@ -347,11 +347,11 @@ def execute_program_1d(
 
     ``base`` is the tile's offset into the block's flat shared buffer
     (element ``(r, q)`` of k-block ``kb`` reads flat offset
-    ``base + 4*kb + 8*q + r``, the 8-strided window layout of the 1D
-    engine).
+    ``base + 4*kb + 8*q + r``, the 8-strided window layout of
+    :class:`~repro.core.rdg.BandedTile1D`).
     """
     validate_schedule(program)
-    engine = program.tile
+    tile = program.tile
     env: dict[str, Fragment] = {}
     result: Fragment | None = None
 
@@ -366,7 +366,7 @@ def execute_program_1d(
         elif ins.op == "mma":
             x = env[ins.srcs[0]]
             acc = env[ins.srcs[1]] if len(ins.srcs) > 1 else None
-            frag = warp.mma_sync(engine._u_frags[ins.meta["kb"]], x, acc)
+            frag = warp.mma_sync(tile.u_frags[ins.meta["kb"]], x, acc)
             env[ins.dst[0]] = frag
             if ins.meta.get("final"):
                 result = frag

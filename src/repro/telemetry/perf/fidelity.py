@@ -58,7 +58,7 @@ def _require_2d(plan) -> None:
 def _tiles(plan, interior: tuple[int, int]) -> int:
     """Output warp tiles one sweep executes (edge tiles included)."""
     rows, cols = interior
-    t = plan.engine.tile
+    t = plan.kernel
     return math.ceil(rows / t.out_rows) * math.ceil(cols / t.out_cols)
 
 
@@ -72,9 +72,9 @@ def predicted_components(
     measurement is read from (an opcode row, or ``"total"``).
     """
     _require_2d(plan)
-    tile = plan.engine.tile
+    tile = plan.kernel
     tiles = _tiles(plan, interior)
-    n_scalar = len(plan.engine.decomposition.scalar_terms)
+    n_scalar = len(tile.decomposition.scalar_terms)
     components = [
         {
             "name": "shared_load_requests",

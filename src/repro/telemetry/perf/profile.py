@@ -325,13 +325,13 @@ def profile_plan(
     else:
         padded = np.asarray(padded, dtype=np.float64)
 
-    if backend is None:
-        backend = getattr(plan, "backend", None)
+    from repro.runtime.backends import get_backend
+    from repro.runtime.executor import Runtime
+
+    backend = get_backend(backend or plan.backend).name
     profiler = InstrProfiler()
     t0 = time.perf_counter_ns()
-    _, events = plan.engine.apply_simulated(
-        padded, device=device, profiler=profiler, backend=backend
-    )
+    _, events = Runtime(plan).sweep(padded, backend, device, profiler)
     wall = time.perf_counter_ns() - t0
 
     interior = tuple(s - 2 * plan.radius for s in padded.shape)

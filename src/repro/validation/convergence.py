@@ -84,7 +84,7 @@ def convergence_study(
     """Run the refinement study; returns one point per resolution.
 
     ``engine_factory`` builds the stepper from the FTCS weights; the
-    default is the LoRAStencil engine of matching dimensionality.
+    default is the compiled LoRAStencil plan of matching dimensionality.
     Whatever it returns must expose ``apply(padded) -> interior``.
     """
     if not 1 <= ndim <= 3:

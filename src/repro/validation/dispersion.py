@@ -84,7 +84,7 @@ def measured_mode_decay(
 
     ``k`` components must be integer multiples of ``2*pi/grid`` so the
     mode is periodic on the grid.  ``apply_fn`` defaults to the
-    LoRAStencil engine of matching dimensionality.
+    compiled LoRAStencil plan of matching dimensionality.
     """
     for kc in k:
         cycles = kc * grid / (2.0 * np.pi)

@@ -78,23 +78,23 @@ class TestModelVsMeasurement:
     """The simulator must agree with the paper's own closed forms."""
 
     def test_rdg_loads_measured(self, rng):
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.weights import radially_symmetric_weights
 
         h = 3
         w = radially_symmetric_weights(h, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix())
-        assert eng.tile.fragment_loads_per_tile == rdg_loads_per_tile(h)
+        tile = repro.compile(w).plan.kernel
+        assert tile.fragment_loads_per_tile == rdg_loads_per_tile(h)
 
     def test_rdg_mma_measured(self, rng):
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.weights import radially_symmetric_weights
 
         for h in (1, 2, 3):
             w = radially_symmetric_weights(h, 2, rng=rng)
-            eng = LoRAStencil2D(w.as_matrix())
-            n_terms = len(eng.decomposition.matrix_terms)
-            assert eng.tile.mma_per_tile == lorastencil_mma_per_tile(h, n_terms)
+            tile = repro.compile(w).plan.kernel
+            n_terms = len(tile.decomposition.matrix_terms)
+            assert tile.mma_per_tile == lorastencil_mma_per_tile(h, n_terms)
 
     def test_convstencil_loads_measured(self, rng):
         from repro.baselines.convstencil import ConvStencil2D

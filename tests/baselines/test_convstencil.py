@@ -51,12 +51,12 @@ class TestConvStencil2D:
 
     def test_stores_exceed_lorastencil(self, rng):
         """The stencil2row matrices cost extra stores (Fig. 10)."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
 
         w = get_kernel("Box-2D49P").weights
         x = rng.normal(size=(38, 38))
         _, conv = ConvStencil2D(w.as_matrix()).apply_simulated(x)
-        _, lora = LoRAStencil2D(w.as_matrix()).apply_simulated(x)
+        _, lora = repro.compile(w).apply_simulated(x)
         assert conv.shared_store_requests > lora.shared_store_requests
         assert conv.shared_load_requests > lora.shared_load_requests
 
@@ -109,12 +109,12 @@ class TestConvStencil3D:
     def test_every_plane_pays_the_gemm(self, rng):
         """Unlike LoRAStencil, single-point planes still run stencil2row
         GEMM — part of the paper's 3D argument."""
-        from repro.core.engine3d import LoRAStencil3D
+        import repro
 
         w = get_kernel("Heat-3D").weights
         x = rng.normal(size=(3 + 2, 10 + 2, 10 + 2))
         _, conv = ConvStencil3D(w.array).apply_simulated(x)
-        _, lora = LoRAStencil3D(w).apply_simulated(x)
+        _, lora = repro.compile(w).apply_simulated(x)
         assert conv.mma_ops > lora.mma_ops
 
     def test_non_cube_rejected(self):

@@ -25,12 +25,12 @@ class TestRank1Weights:
 
     def test_3d_star_plane_split_preserved(self):
         """Heat-3D's single-point CUDA-core planes stay single-point."""
-        from repro.core.engine3d import LoRAStencil3D
+        import repro
 
         w = rank1_weights_like(get_kernel("Heat-3D").weights)
-        eng = LoRAStencil3D(w)
-        assert eng.cuda_core_planes == [0, 2]
-        assert eng.tensor_core_planes == [1]
+        plan = repro.compile(w).plan
+        assert plan.cuda_core_planes == [0, 2]
+        assert plan.tensor_core_planes == [1]
 
     def test_1d_unchanged(self):
         base = get_kernel("Heat-1D").weights
@@ -44,7 +44,7 @@ class TestRank1Weights:
 class TestBestMethod:
     def test_single_matrix_term(self):
         m = LoRAStencilBestMethod(get_kernel("Box-2D49P"))
-        assert len(m.engine.decomposition.matrix_terms) == 1
+        assert len(m.plan.decomposition.matrix_terms) == 1
 
     def test_functionally_exact_on_its_own_kernel(self, rng):
         m = LoRAStencilBestMethod(get_kernel("Box-2D49P"))

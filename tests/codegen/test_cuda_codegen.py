@@ -5,7 +5,7 @@ import pytest
 
 from repro.codegen import generate_cuda_kernel
 from repro.core.config import OptimizationConfig
-from repro.core.engine2d import LoRAStencil2D
+import repro
 from repro.stencil.kernels import get_kernel
 from repro.stencil.weights import radially_symmetric_weights
 
@@ -18,8 +18,8 @@ def box49_src():
 class TestStructure:
     def test_mma_count_matches_simulator(self, box49_src):
         """The emitted kernel issues exactly the Eq. 16 MMA count."""
-        eng = LoRAStencil2D(get_kernel("Box-2D49P").weights.as_matrix())
-        assert box49_src.mma_calls == eng.tile.mma_per_tile == 36
+        plan = repro.compile(get_kernel("Box-2D49P").weights).plan
+        assert box49_src.mma_calls == plan.mma_per_tile == 36
         assert box49_src.source.count("wmma::mma_sync") == 36
 
     def test_x_loads_match_eq12(self, box49_src):
@@ -129,6 +129,6 @@ class TestAcrossKernels:
     def test_mma_counts_track_simulator(self, name):
         w = get_kernel(name).weights
         src = generate_cuda_kernel(w)
-        eng = LoRAStencil2D(w.as_matrix())
-        assert src.mma_calls == eng.tile.mma_per_tile
-        assert src.x_fragment_loads == eng.tile.fragment_loads_per_tile
+        tile = repro.compile(w).plan.kernel
+        assert src.mma_calls == tile.mma_per_tile
+        assert src.x_fragment_loads == tile.fragment_loads_per_tile

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.codegen.cuda_nd import generate_cuda_kernel_1d, generate_cuda_kernel_3d
-from repro.core.engine1d import LoRAStencil1D
+import repro
 from repro.stencil.kernels import get_kernel
 
 
@@ -12,7 +12,7 @@ class TestCuda1D:
     def test_mma_count_matches_engine(self, name):
         w = get_kernel(name).weights
         src = generate_cuda_kernel_1d(w)
-        assert src.mma_calls == LoRAStencil1D(w).mma_per_tile
+        assert src.mma_calls == repro.compile(w).plan.mma_per_tile
         assert src.source.count("wmma::mma_sync") == src.mma_calls
 
     def test_single_gather_no_mcm(self):
@@ -66,14 +66,12 @@ class TestCuda3D:
             assert f"lorastencil3d_plane{i}(" in src.full_source
 
     def test_plane_mma_counts(self):
-        """Each rich plane's emitted kernel matches the 2D engine."""
-        from repro.core.engine2d import LoRAStencil2D
-
+        """Each rich plane's emitted kernel matches the plan's plane."""
         w = get_kernel("Box-3D27P").weights
         src = generate_cuda_kernel_3d(w)
+        planes = repro.compile(w).plan.planes
         for i in src.tensor_planes:
-            eng = LoRAStencil2D(w.planes()[i])
-            assert src.plane_sources[i].mma_calls == eng.tile.mma_per_tile
+            assert src.plane_sources[i].mma_calls == planes[i].kernel.mma_per_tile
 
     def test_2d_rejected(self):
         with pytest.raises(ValueError):

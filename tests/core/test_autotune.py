@@ -37,9 +37,9 @@ class TestAutotune:
         assert res.best.fusion == 1
 
     def test_built_engine_is_correct(self, rng, box9_result):
-        """The tuned engine reproduces `fusion` reference steps."""
+        """The tuned plan reproduces `fusion` reference steps."""
         w = get_kernel("Box-2D9P").weights
-        engine = box9_result.build_engine(w)
+        engine = box9_result.compile(w)
         fusion = box9_result.best.fusion
         x = rng.normal(size=(24, 24))
         ref = reference_iterate(x, w, fusion, boundary="periodic")

@@ -1,9 +1,9 @@
-"""Tests for the 3D LoRAStencil executor (Algorithm 2)."""
+"""Tests for 3D plans: the plane split of Algorithm 2."""
 
 import numpy as np
 import pytest
 
-from repro.core.engine3d import LoRAStencil3D
+import repro
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_apply
 from repro.stencil.weights import radially_symmetric_weights
@@ -13,40 +13,40 @@ class TestPlaneDispatch:
     def test_heat3d_plane_split(self):
         """Star-3D7P: outer planes are single-weight (CUDA cores), the
         middle plane is a Star-2D5P (tensor cores) — Algorithm 2."""
-        eng = LoRAStencil3D(get_kernel("Heat-3D").weights)
-        assert eng.cuda_core_planes == [0, 2]
-        assert eng.tensor_core_planes == [1]
+        eng = repro.compile(get_kernel("Heat-3D").weights)
+        assert eng.plan.cuda_core_planes == [0, 2]
+        assert eng.plan.tensor_core_planes == [1]
 
     def test_box3d_all_planes_on_tcu(self):
-        eng = LoRAStencil3D(get_kernel("Box-3D27P").weights)
-        assert eng.tensor_core_planes == [0, 1, 2]
-        assert eng.cuda_core_planes == []
+        eng = repro.compile(get_kernel("Box-3D27P").weights)
+        assert eng.plan.tensor_core_planes == [0, 1, 2]
+        assert eng.plan.cuda_core_planes == []
 
     def test_2d_weights_rejected(self):
         with pytest.raises(ValueError):
-            LoRAStencil3D(get_kernel("Box-2D9P").weights)
+            repro.compile(get_kernel("Box-2D9P").weights, ndim=3)
 
     def test_non_cube_rejected(self):
         with pytest.raises(ValueError):
-            LoRAStencil3D(np.ones((3, 3, 5)))
+            repro.compile(np.ones((3, 3, 5)))
 
 
 class TestFunctional:
     @pytest.mark.parametrize("name", ["Heat-3D", "Box-3D27P"])
     def test_matches_reference(self, rng, name):
         w = get_kernel(name).weights
-        eng = LoRAStencil3D(w)
+        eng = repro.compile(w)
         x = rng.normal(size=(7 + 2, 15 + 2, 18 + 2))
         assert np.allclose(eng.apply(x), reference_apply(x, w), atol=1e-12)
 
     def test_radius2_kernel(self, rng):
         w = radially_symmetric_weights(2, 3, rng=rng)
-        eng = LoRAStencil3D(w)
+        eng = repro.compile(w)
         x = rng.normal(size=(5 + 4, 10 + 4, 12 + 4))
         assert np.allclose(eng.apply(x), reference_apply(x, w), atol=1e-12)
 
     def test_too_small_rejected(self, rng):
-        eng = LoRAStencil3D(get_kernel("Heat-3D").weights)
+        eng = repro.compile(get_kernel("Heat-3D").weights)
         with pytest.raises(ValueError):
             eng.apply(rng.normal(size=(2, 8, 8)))
 
@@ -55,7 +55,7 @@ class TestSimulated:
     @pytest.mark.parametrize("name", ["Heat-3D", "Box-3D27P"])
     def test_matches_reference(self, rng, name):
         w = get_kernel(name).weights
-        eng = LoRAStencil3D(w)
+        eng = repro.compile(w)
         x = rng.normal(size=(4 + 2, 11 + 2, 14 + 2))
         out, _ = eng.apply_simulated(x)
         assert np.allclose(out, reference_apply(x, w), atol=1e-12)
@@ -63,8 +63,8 @@ class TestSimulated:
     def test_pointwise_planes_skip_tcu(self, rng):
         """Heat-3D's outer planes generate CUDA-core FLOPs but only the
         middle plane generates MMA instructions."""
-        heat = LoRAStencil3D(get_kernel("Heat-3D").weights)
-        box = LoRAStencil3D(get_kernel("Box-3D27P").weights)
+        heat = repro.compile(get_kernel("Heat-3D").weights)
+        box = repro.compile(get_kernel("Box-3D27P").weights)
         x = rng.normal(size=(4 + 2, 10 + 2, 10 + 2))
         _, c_heat = heat.apply_simulated(x)
         _, c_box = box.apply_simulated(x)
@@ -74,6 +74,6 @@ class TestSimulated:
         assert c_box.mma_ops > c_heat.mma_ops
 
     def test_non_3d_input_rejected(self, rng):
-        eng = LoRAStencil3D(get_kernel("Heat-3D").weights)
+        eng = repro.compile(get_kernel("Heat-3D").weights)
         with pytest.raises(ValueError):
             eng.apply_simulated(rng.normal(size=(8, 8)))

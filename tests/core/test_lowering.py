@@ -14,12 +14,11 @@ from repro.core.lowering import (
     available_schedules,
     get_schedule,
     lower,
-    lower_engine,
     register_schedule,
 )
 from repro.core.sweep import SweepSpec, validate_padded
 from repro.errors import LoweringError, ShapeError
-from repro.tcu.program import TileProgram
+from repro.tcu.program import TileProgram, build_tile_program
 
 W2 = repro.box_weights(1, 2)
 W1 = repro.box_weights(2, 1)
@@ -60,7 +59,7 @@ class TestPipeline:
         ]
 
     def test_lower_records_pass_times(self):
-        _, lowered = lower(W2.as_matrix(), 2)
+        lowered = lower(W2.as_matrix(), 2)
         assert [n for n, _ in lowered.pass_times] == [
             "decompose",
             "build_tile_ir",
@@ -70,23 +69,24 @@ class TestPipeline:
         assert all(t >= 0.0 for _, t in lowered.pass_times)
 
     def test_lower_binds_engine(self):
-        engine, lowered = lower(W2.as_matrix(), 2)
-        assert engine.lowered is lowered.tile
-        assert lowered.tile.program.tile is engine.tile
+        lowered = lower(W2.as_matrix(), 2)
+        (plane,) = lowered.planes
+        assert lowered.tile.program.tile is plane.kernel
+        assert plane.kernel.decomposition.rank > 0
 
     def test_lower_3d_binds_plane_engines(self):
-        engine, lowered = lower(W3.array, 3)
-        assert len(lowered.tiles) == len(engine.planes)
-        for task, tile in zip(engine.planes, lowered.tiles):
-            if task.engine is not None:
+        lowered = lower(W3.array, 3)
+        assert len(lowered.tiles) == len(lowered.planes)
+        for plane, tile in zip(lowered.planes, lowered.tiles):
+            if plane.kernel is not None:
                 assert tile is not None
-                assert task.engine.lowered is tile
+                assert tile.program.tile is plane.kernel
             else:
                 assert tile is None
 
     def test_cuda_core_config_lowers_to_no_program(self):
         config = OptimizationConfig(use_tensor_cores=False)
-        _, lowered = lower(W2.as_matrix(), 2, config=config)
+        lowered = lower(W2.as_matrix(), 2, config=config)
         assert lowered.tile is None
         assert lowered.n_instrs == 0
         assert lowered.load_use_distance == 0.0
@@ -117,13 +117,13 @@ class TestPipeline:
         ctx = LoweringContext(
             weights=W2.as_matrix(), ndim=2, config=OptimizationConfig()
         )
-        with pytest.raises(LoweringError, match="decomposed engine"):
+        with pytest.raises(LoweringError, match="requires the decompose pass"):
             PassPipeline(DEFAULT_PASSES[1:]).run(ctx)
 
 
 class TestLoweredArtifacts:
     def test_op_counts_and_render(self):
-        _, lowered = lower(W2.as_matrix(), 2)
+        lowered = lower(W2.as_matrix(), 2)
         counts = lowered.tile.op_counts()
         assert counts["mma"] > 0 and counts["load_x"] > 0
         text = lowered.tile.render(limit=3)
@@ -133,23 +133,22 @@ class TestLoweredArtifacts:
 
     def test_describe_mentions_schedule(self):
         config = OptimizationConfig(schedule="prefetch")
-        _, lowered = lower(W2.as_matrix(), 2, config=config)
+        lowered = lower(W2.as_matrix(), 2, config=config)
         assert "prefetch" in lowered.describe()
         assert lowered.schedule == "prefetch"
 
     def test_1d_program_ops(self):
-        _, lowered = lower(W1.as_vector(), 1)
+        lowered = lower(W1.as_vector(), 1)
         counts = lowered.tile.op_counts()
         # radius 2: k_rows = round_up(12, 4) = 12 -> 3 k-blocks
         assert counts == {"load_x": 3, "mma": 3}
 
-    def test_lower_engine_matches_pipeline(self):
-        engine, lowered = lower(W2.as_matrix(), 2)
-        direct = lower_engine(engine)
-        assert [i.op for i in direct.program.instrs] == [
+    def test_direct_build_matches_pipeline(self):
+        lowered = lower(W2.as_matrix(), 2)
+        direct = build_tile_program(lowered.planes[0].kernel)
+        assert [i.op for i in direct.instrs] == [
             i.op for i in lowered.tile.program.instrs
         ]
-        assert direct.load_use_distance == lowered.tile.load_use_distance
 
 
 class TestSweepSpec:
@@ -213,7 +212,7 @@ class TestPlanCarriesProgram:
         compiled = repro.compile(W3, cache=None)
         programs = compiled.plan.program
         assert isinstance(programs, tuple)
-        assert len(programs) == len(compiled.engine.planes)
+        assert len(programs) == len(compiled.plan.planes)
         assert any(p is not None for p in programs)
         assert any(p is None for p in programs)  # star points -> CUDA cores
 

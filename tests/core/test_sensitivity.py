@@ -82,15 +82,15 @@ class TestDecompositionSensitivity:
     def test_dropping_scalar_apex_breaks_stencil(self, rng):
         """The 1x1 apex carries the centre weight residue: skipping the
         CUDA-core pass loses it."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
 
         w = radially_symmetric_weights(2, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix())
-        assert eng.decomposition.scalar_terms  # precondition
+        eng = repro.compile(w)
+        assert eng.plan.decomposition.scalar_terms  # precondition
         x = rng.normal(size=(14, 14))
         full = eng.apply(x)
         without_apex = full - sum(
-            t.scalar_weight * x[2:-2, 2:-2] for t in eng.decomposition.scalar_terms
+            t.scalar_weight * x[2:-2, 2:-2] for t in eng.plan.decomposition.scalar_terms
         )
         ref = reference_apply(x, w)
         assert np.allclose(full, ref)
@@ -113,10 +113,10 @@ class TestLayoutSensitivity:
         assert not np.allclose(fake.to_matrix()[:4, :4], mat[:4, :4])
 
     def test_counters_never_negative(self, rng):
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
 
         w = radially_symmetric_weights(1, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix())
+        eng = repro.compile(w)
         _, cnt = eng.apply_simulated(rng.normal(size=(10, 10)))
         assert all(v >= 0 for v in cnt.as_dict().values())
 
@@ -124,12 +124,14 @@ class TestLayoutSensitivity:
 class TestNaNPropagation:
     def test_nan_input_surfaces_in_output(self, rng):
         """The simulator must not silently mask bad data."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
+        from repro.core.sweep import simulate
 
         w = radially_symmetric_weights(1, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix())
+        plan = repro.compile(w).plan
         x = rng.normal(size=(12, 12))
         x[6, 6] = np.nan
-        out, _ = eng.apply_simulated(x)
+        # the sweep itself (the runtime rejects non-finite inputs up front)
+        out, _ = simulate(plan, x, "interpreter")
         assert np.isnan(out).any()
         assert not np.isnan(out).all()

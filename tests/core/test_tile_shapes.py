@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
-from repro.core.engine2d import LoRAStencil2D
+import repro
 from repro.core.lowrank import decompose
 from repro.core.rdg import RDGTileCompute
 from repro.stencil.reference import reference_apply
@@ -52,7 +52,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("h", [1, 3])
     def test_simulated_matches_reference(self, rng, ts, h):
         w = radially_symmetric_weights(h, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix(), tile_shape=ts)
+        eng = repro.compile(w, tile_shape=ts)
         x = rng.normal(size=(27 + 2 * h, 34 + 2 * h))
         out, _ = eng.apply_simulated(x)
         assert np.allclose(out, reference_apply(x, w), atol=1e-11)
@@ -60,10 +60,8 @@ class TestCorrectness:
     @pytest.mark.parametrize("ts", [(16, 16), (8, 16)])
     def test_without_bvs(self, rng, ts):
         w = radially_symmetric_weights(2, 2, rng=rng)
-        eng = LoRAStencil2D(
-            w.as_matrix(),
-            config=OptimizationConfig(use_bvs=False),
-            tile_shape=ts,
+        eng = repro.compile(
+            w, config=OptimizationConfig(use_bvs=False), tile_shape=ts
         )
         x = rng.normal(size=(20, 24))
         out, cnt = eng.apply_simulated(x)
@@ -72,10 +70,8 @@ class TestCorrectness:
 
     def test_cuda_path_with_large_tile(self, rng):
         w = radially_symmetric_weights(2, 2, rng=rng)
-        eng = LoRAStencil2D(
-            w.as_matrix(),
-            config=OptimizationConfig(use_tensor_cores=False),
-            tile_shape=(16, 16),
+        eng = repro.compile(
+            w, config=OptimizationConfig(use_tensor_cores=False), tile_shape=(16, 16)
         )
         x = rng.normal(size=(20, 24))
         out, _ = eng.apply_simulated(x)
@@ -83,8 +79,8 @@ class TestCorrectness:
 
     def test_mma_counter_matches_model(self, rng):
         w = radially_symmetric_weights(3, 2, rng=rng)
-        eng = LoRAStencil2D(w.as_matrix(), tile_shape=(16, 16))
+        eng = repro.compile(w, tile_shape=(16, 16))
         x = rng.normal(size=(32 + 6, 32 + 6))
         _, cnt = eng.apply_simulated(x)
         tiles = (32 // 16) * (32 // 16)
-        assert cnt.mma_ops == tiles * eng.tile.mma_per_tile
+        assert cnt.mma_ops == tiles * eng.plan.mma_per_tile

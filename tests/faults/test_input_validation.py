@@ -70,13 +70,13 @@ class TestWorkerExceptionWrapping:
         compiled, x = _compiled()
         good = [x, x.copy(), x.copy()]
 
-        # sabotage the engine for one worker via a bad grid shape is a
+        # sabotage the runtime for one worker via a bad grid shape is a
         # ShapeError (ReproError, re-raised untouched); to exercise the
         # *generic* wrap we inject a non-Repro failure through a mock
         class Boom(RuntimeError):
             pass
 
-        original = compiled.plan.engine.apply
+        original = compiled.runtime.apply
         calls = []
 
         def sabotaged(grid):
@@ -85,12 +85,12 @@ class TestWorkerExceptionWrapping:
                 raise Boom("spurious")
             return original(grid)
 
-        compiled.plan.engine.apply = sabotaged
+        compiled.runtime.apply = sabotaged
         try:
             with pytest.raises(ExecutionError, match=r"grid \d of 3"):
                 compiled.runtime.apply_batch_threaded(good)
         finally:
-            compiled.plan.engine.apply = original
+            compiled.runtime.apply = original
 
     def test_repro_errors_pass_through_unwrapped(self):
         compiled, x = _compiled()
@@ -106,7 +106,7 @@ class TestWorkerExceptionWrapping:
         class Boom(RuntimeError):
             pass
 
-        original = compiled.plan.engine.apply_simulated
+        original = compiled.runtime.sweep
         calls = []
 
         def sabotaged(*args, **kwargs):
@@ -115,14 +115,14 @@ class TestWorkerExceptionWrapping:
                 raise Boom("worker died")
             return original(*args, **kwargs)
 
-        compiled.plan.engine.apply_simulated = sabotaged
+        compiled.runtime.sweep = sabotaged
         try:
             with pytest.raises(
                 ExecutionError, match=r"shard \d of \d \(rows \d+:\d+\)"
             ):
-                compiled.runtime.apply_simulated_sharded(x, shards=2)
+                compiled.runtime.apply_simulated(x, shards=2)
         finally:
-            compiled.plan.engine.apply_simulated = original
+            compiled.runtime.sweep = original
 
     def test_simulated_batch_wraps_with_grid_index(self):
         compiled, x = _compiled()
@@ -130,7 +130,7 @@ class TestWorkerExceptionWrapping:
         class Boom(RuntimeError):
             pass
 
-        original = compiled.plan.engine.apply_simulated
+        original = compiled.runtime.sweep
         calls = []
 
         def sabotaged(*args, **kwargs):
@@ -139,9 +139,9 @@ class TestWorkerExceptionWrapping:
                 raise Boom("worker died")
             return original(*args, **kwargs)
 
-        compiled.plan.engine.apply_simulated = sabotaged
+        compiled.runtime.sweep = sabotaged
         try:
             with pytest.raises(ExecutionError, match=r"grid \d of 2"):
                 compiled.runtime.apply_simulated_batch([x, x.copy()])
         finally:
-            compiled.plan.engine.apply_simulated = original
+            compiled.runtime.sweep = original

@@ -3,20 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import (
-    Grid,
-    LoRAStencil1D,
-    LoRAStencil2D,
-    LoRAStencil3D,
-    get_kernel,
-    reference_iterate,
-)
+from repro import Grid, compile, get_kernel, reference_iterate
 
 
 class TestTimeIntegration:
     def test_heat2d_multi_step_matches_reference(self, rng):
         k = get_kernel("Heat-2D")
-        eng = LoRAStencil2D(k.weights.as_matrix())
+        eng = compile(k.weights)
         x0 = rng.normal(size=(24, 24))
         grid = Grid(x0, k.weights.radius)
         out = grid.run(eng.apply, 20)
@@ -25,7 +18,7 @@ class TestTimeIntegration:
 
     def test_heat1d_multi_step(self, rng):
         k = get_kernel("Heat-1D")
-        eng = LoRAStencil1D(k.weights)
+        eng = compile(k.weights)
         x0 = rng.normal(size=200)
         grid = Grid(x0, 1, boundary="periodic")
         out = grid.run(eng.apply, 50)
@@ -34,7 +27,7 @@ class TestTimeIntegration:
 
     def test_heat3d_multi_step(self, rng):
         k = get_kernel("Heat-3D")
-        eng = LoRAStencil3D(k.weights)
+        eng = compile(k.weights)
         x0 = rng.normal(size=(8, 10, 12))
         grid = Grid(x0, 1)
         out = grid.run(eng.apply, 5)
@@ -44,7 +37,7 @@ class TestTimeIntegration:
     def test_simulated_multi_step(self, rng):
         """Chaining the warp-level path across timesteps stays exact."""
         k = get_kernel("Box-2D9P")
-        eng = LoRAStencil2D(k.weights.as_matrix())
+        eng = compile(k.weights)
         x0 = rng.normal(size=(16, 16))
         grid = Grid(x0, 1)
         out = grid.run(lambda p: eng.apply_simulated(p)[0], 5)
@@ -56,7 +49,7 @@ class TestPhysics:
     def test_heat_smooths_spike(self):
         """A delta spike spreads and its peak decays monotonically."""
         k = get_kernel("Heat-2D")
-        eng = LoRAStencil2D(k.weights.as_matrix())
+        eng = compile(k.weights)
         x = np.zeros((31, 31))
         x[15, 15] = 1.0
         grid = Grid(x, 1)
@@ -70,7 +63,7 @@ class TestPhysics:
     def test_heat_positivity(self):
         """Explicit heat with CFL-stable alpha preserves positivity."""
         k = get_kernel("Heat-2D")
-        eng = LoRAStencil2D(k.weights.as_matrix())
+        eng = compile(k.weights)
         rng = np.random.default_rng(5)
         x = np.abs(rng.normal(size=(20, 20)))
         grid = Grid(x, 1, boundary="periodic")
@@ -79,7 +72,7 @@ class TestPhysics:
 
     def test_periodic_mass_conservation_simulated(self, rng):
         k = get_kernel("Heat-2D")
-        eng = LoRAStencil2D(k.weights.as_matrix())
+        eng = compile(k.weights)
         x = rng.normal(size=(16, 16))
         grid = Grid(x, 1, boundary="periodic")
         out = grid.run(lambda p: eng.apply_simulated(p)[0], 10)
@@ -104,8 +97,8 @@ class TestCrossEngineConsistency:
 
         k = get_kernel("Box-2D9P")
         fk = fuse_kernel(k.weights, 3)
-        eng_fused = LoRAStencil2D(fk.fused.as_matrix())
-        eng_base = LoRAStencil2D(k.weights.as_matrix())
+        eng_fused = compile(fk.fused)
+        eng_base = compile(k.weights)
         x0 = rng.normal(size=(24, 24))
         g1 = Grid(x0, 1, boundary="periodic")
         base_out = g1.run(eng_base.apply, 6)

@@ -8,10 +8,9 @@ import pytest
 
 from repro import telemetry
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
-from repro.parallel.cluster import ClusterRuntime, SimulatedCluster
-from repro.parallel.cluster3d import SimulatedCluster3D
+from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
-from repro.parallel.temporal import run_temporal_blocked, temporal_halo_bytes
+from repro.parallel.temporal import temporal_halo_bytes
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
 
@@ -199,7 +198,8 @@ class TestTemporalAcrossDimensions:
         x = rng.normal(size=(64,))
         plan = distribute(w, x.shape, (4,))
         runtime = ClusterRuntime(plan)
-        out, exchanged = run_temporal_blocked(runtime, x, 6, 3)
+        res = runtime.run(x, 6, block_steps=3)
+        out, exchanged = res.field, res.exchanged_bytes
         assert np.array_equal(out, runtime.run(x, 6).field)
         assert np.allclose(out, reference_iterate(x, w, 6), atol=1e-9)
         _, modelled = temporal_halo_bytes(runtime, steps=6, block_steps=3)
@@ -209,9 +209,12 @@ class TestTemporalAcrossDimensions:
     def test_temporal_3d(self, rng, boundary):
         w = get_kernel("Heat-3D").weights
         x = rng.normal(size=(6, 12, 12))
-        cluster = SimulatedCluster3D(w, x.shape, (2, 2), boundary=boundary)
-        out, exchanged = run_temporal_blocked(cluster, x, 4, 2)
-        assert np.array_equal(out, cluster.runtime.run(x, 4).field)
+        cluster = ClusterRuntime(
+            distribute(w, x.shape, (1, 2, 2), boundary=boundary)
+        )
+        res = cluster.run(x, 4, block_steps=2)
+        out, exchanged = res.field, res.exchanged_bytes
+        assert np.array_equal(out, cluster.run(x, 4).field)
         assert np.allclose(
             out, reference_iterate(x, w, 4, boundary=boundary), atol=1e-9
         )
@@ -221,11 +224,13 @@ class TestTemporalAcrossDimensions:
     def test_diamond_matches_trapezoid(self, rng, boundary):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(24, 24))
-        cluster = SimulatedCluster(w, x.shape, (2, 2), boundary=boundary)
-        trap, trap_bytes = run_temporal_blocked(cluster, x, 8, 4)
-        diam, diam_bytes = run_temporal_blocked(
-            cluster, x, 8, 4, tiling="diamond"
+        cluster = ClusterRuntime(
+            distribute(w, x.shape, (2, 2), boundary=boundary)
         )
+        res = cluster.run(x, 8, block_steps=4)
+        trap, trap_bytes = res.field, res.exchanged_bytes
+        res = cluster.run(x, 8, block_steps=4, tiling="diamond")
+        diam, diam_bytes = res.field, res.exchanged_bytes
         assert np.array_equal(diam, trap)
         # diamond: shallower halos, more messages — fewer bytes per
         # round but twice the rounds at half depth
@@ -238,18 +243,16 @@ class TestTemporalAcrossDimensions:
     def test_temporal_through_process_executor(self, rng):
         w = get_kernel("Heat-2D").weights
         x = rng.normal(size=(16, 16))
-        cluster = SimulatedCluster(w, x.shape, (2, 1))
-        sync, _ = run_temporal_blocked(cluster, x, 4, 2)
-        proc, _ = run_temporal_blocked(
-            cluster, x, 4, 2, executor="process"
-        )
+        cluster = ClusterRuntime(distribute(w, x.shape, (2, 1)))
+        sync = cluster.run(x, 4, block_steps=2).field
+        proc = cluster.run(x, 4, block_steps=2, executor="process").field
         assert np.array_equal(proc, sync)
 
 
 class TestTimingModel:
     def test_overlap_step_model(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (256, 256), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
         sync = cluster.timings(steps=10)
         over = cluster.timings(steps=10, overlap=True)
         assert sync.step_s == sync.compute_s + sync.comm_s
@@ -261,7 +264,7 @@ class TestTimingModel:
 
     def test_temporal_blocking_cuts_comm(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (256, 256), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (256, 256), (2, 2)))
         per_step = cluster.timings(steps=10)
         blocked = cluster.timings(steps=10, block_steps=4)
         assert blocked.comm_s < per_step.comm_s
@@ -269,6 +272,6 @@ class TestTimingModel:
 
     def test_interior_plus_boundary_is_compute(self):
         w = get_kernel("Heat-2D").weights
-        cluster = SimulatedCluster(w, (128, 128), (2, 2))
+        cluster = ClusterRuntime(distribute(w, (128, 128), (2, 2)))
         t = cluster.timings()
         assert t.interior_s + t.boundary_s == pytest.approx(t.compute_s)

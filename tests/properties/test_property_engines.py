@@ -1,12 +1,12 @@
-"""Property-based tests: every engine equals the reference stencil on
-random kernels, grids and shapes."""
+"""Property-based tests: every compiled plan (and ConvStencil) equals
+the reference stencil on random kernels, grids and shapes."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine1d import LoRAStencil1D
-from repro.core.engine2d import LoRAStencil2D
+import repro
+from repro.core.sweep import simulate
 from repro.baselines.convstencil import ConvStencil2D
 from repro.stencil.reference import reference_apply
 from repro.stencil.weights import (
@@ -43,7 +43,7 @@ class TestFunctionalEquivalence:
     def test_lorastencil2d_functional(self, w, grid):
         rows, cols, rng = grid
         x = rng.normal(size=(rows + 2 * w.radius, cols + 2 * w.radius))
-        eng = LoRAStencil2D(w.as_matrix())
+        eng = repro.compile(w)
         ref = reference_apply(x, w)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(eng.apply(x) - ref).max() < 1e-10 * scale
@@ -55,7 +55,7 @@ class TestSimulatedEquivalence:
     def test_lorastencil2d_simulated(self, w, grid):
         rows, cols, rng = grid
         x = rng.normal(size=(rows + 2 * w.radius, cols + 2 * w.radius))
-        eng = LoRAStencil2D(w.as_matrix())
+        eng = repro.compile(w)
         out, _ = eng.apply_simulated(x)
         ref = reference_apply(x, w)
         scale = max(1.0, np.abs(ref).max())
@@ -82,8 +82,8 @@ class TestSimulatedEquivalence:
         rng = np.random.default_rng(seed)
         w = star_weights(h, 1, rng=rng)
         x = rng.normal(size=n + 2 * h)
-        eng = LoRAStencil1D(w)
-        out, _ = eng.apply_simulated(x, block=64)
+        plan = repro.compile(w).plan
+        out, _ = simulate(plan, x, "interpreter", block=(64,))
         ref = reference_apply(x, w)
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(out - ref).max() < 1e-10 * scale
@@ -98,13 +98,12 @@ class Test3DEquivalence:
     )
     @settings(max_examples=8, deadline=None)
     def test_lorastencil3d_simulated(self, h, zs, side, seed):
-        from repro.core.engine3d import LoRAStencil3D
         from repro.stencil.weights import radially_symmetric_weights
 
         rng = np.random.default_rng(seed)
         w = radially_symmetric_weights(h, 3, rng=rng)
         x = rng.normal(size=(zs + 2 * h, side + 2 * h, side + 2 * h))
-        eng = LoRAStencil3D(w)
+        eng = repro.compile(w)
         out, _ = eng.apply_simulated(x)
         ref = reference_apply(x, w)
         scale = max(1.0, np.abs(ref).max())
@@ -117,7 +116,7 @@ class TestCounterInvariants:
     def test_bvs_never_shuffles(self, w, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(16 + 2 * w.radius, 16 + 2 * w.radius))
-        eng = LoRAStencil2D(w.as_matrix())
+        eng = repro.compile(w)
         _, cnt = eng.apply_simulated(x)
         assert cnt.shuffle_ops == 0
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.parallel.cluster import ClusterRuntime
 from repro.parallel.plan import distribute
-from repro.parallel.temporal import run_temporal_blocked, temporal_halo_bytes
+from repro.parallel.temporal import temporal_halo_bytes
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
 
@@ -72,9 +72,8 @@ class TestTemporalProperties:
         x = rng.normal(size=shape)
         plan = distribute(w, shape, mesh, boundary=boundary)
         runtime = ClusterRuntime(plan)
-        blocked, exchanged = run_temporal_blocked(
-            runtime, x, steps, block_steps, tiling=tiling
-        )
+        res = runtime.run(x, steps, block_steps=block_steps, tiling=tiling)
+        blocked, exchanged = res.field, res.exchanged_bytes
         per_step = runtime.run(x, steps).field
         assert np.array_equal(blocked, per_step)
         ref = reference_iterate(x, w, steps, boundary=boundary)
@@ -92,11 +91,9 @@ class TestTemporalProperties:
         w = get_kernel(kernel).weights
         x = rng.normal(size=shape)
         runtime = ClusterRuntime(distribute(w, shape, mesh))
-        sync, sync_bytes = run_temporal_blocked(
-            runtime, x, steps, block_steps
-        )
-        over, over_bytes = run_temporal_blocked(
-            runtime, x, steps, block_steps, overlap=True
-        )
+        res = runtime.run(x, steps, block_steps=block_steps)
+        sync, sync_bytes = res.field, res.exchanged_bytes
+        res = runtime.run(x, steps, block_steps=block_steps, overlap=True)
+        over, over_bytes = res.field, res.exchanged_bytes
         assert np.array_equal(over, sync)
         assert over_bytes == sync_bytes

@@ -121,10 +121,10 @@ class TestCompileCaching:
         with mock.patch.object(
             core.lowrank, "decompose", side_effect=real
         ) as spy:
-            # the 2D engine resolves `decompose` at import time, so patch
-            # its module-level reference too
+            # the lowering pipeline resolves `decompose` at import time,
+            # so patch its module-level reference too
             with mock.patch.object(
-                core.engine2d, "decompose", side_effect=real
+                core.lowering, "decompose", side_effect=real
             ) as engine_spy:
                 first = compile_stencil(w, cache=cache)
                 calls_after_first = spy.call_count + engine_spy.call_count

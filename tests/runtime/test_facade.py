@@ -21,11 +21,14 @@ class TestCompileFacade:
         assert repro.compile(get_kernel("Heat-3D").weights).ndim == 3
 
     def test_apply_matches_engine(self, rng):
+        from repro.core.functional import apply_decomposition
+
         k = get_kernel("Box-2D9P")
         compiled = repro.compile(k.weights)
         x = rng.normal(size=(20, 20))
         np.testing.assert_array_equal(
-            compiled.apply(x), compiled.engine.apply(x)
+            compiled.apply(x),
+            apply_decomposition(compiled.plan.decomposition, x),
         )
 
     def test_default_cache_is_shared(self):
@@ -85,31 +88,6 @@ class TestApplyGrid:
 
 
 class TestDeprecations:
-    def test_direct_2d_construction_warns(self):
-        w = get_kernel("Heat-2D").weights.as_matrix()
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil2D(w)
-
-    def test_direct_1d_construction_warns(self):
-        w = get_kernel("Heat-1D").weights.as_vector()
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil1D(w)
-
-    def test_direct_3d_construction_warns(self):
-        w = get_kernel("Heat-3D").weights
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.LoRAStencil3D(w)
-
-    def test_core_decompose_reexport_warns(self):
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.decompose
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.pyramidal_decompose
-        with pytest.warns(DeprecationWarning, match="repro.compile"):
-            repro.core.svd_decompose
-
     def test_lowrank_import_does_not_warn(self, recwarn):
         from repro.core.lowrank import decompose  # noqa: F401
 
@@ -125,16 +103,6 @@ class TestDeprecations:
 
 
 class TestBackwardsCompatibility:
-    def test_old_engine_still_computes(self, rng):
-        """Deprecated construction must keep working, warning aside."""
-        k = get_kernel("Box-2D9P")
-        with pytest.warns(DeprecationWarning):
-            engine = repro.LoRAStencil2D(k.weights.as_matrix())
-        x = rng.normal(size=(16, 16))
-        np.testing.assert_array_equal(
-            engine.apply(x), repro.compile(k.weights).apply(x)
-        )
-
     def test_unknown_attribute_still_raises(self):
         import repro.core
 

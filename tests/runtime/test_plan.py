@@ -94,7 +94,7 @@ class TestBuildPlan:
         assert plan.method == "pma"
         assert plan.rank == 4
         assert plan.block == (32, 64)
-        assert plan.mma_per_tile == plan.engine.tile.mma_per_tile
+        assert plan.mma_per_tile == plan.kernel.mma_per_tile
         assert len(plan.u_matrices) == len(plan.v_matrices)
         assert plan.bvs_order is not None
 
@@ -148,8 +148,8 @@ class TestLoweredArtifactOnPlan:
         assert plan.lowered.schedule == "eager"
         assert plan.program is not None
         assert plan.program is plan.lowered.tile.program
-        # the engine executes the very program the plan carries
-        assert plan.engine.lowered is plan.lowered.tile
+        # the program indexes the very kernel the plan carries
+        assert plan.program.tile is plan.kernel
 
     def test_schedule_knob_changes_key_and_program_order(self):
         k = get_kernel("Box-2D49P")
@@ -172,9 +172,9 @@ class TestLoweredArtifactOnPlan:
         plan = build_plan(get_kernel("Heat-3D").weights)
         programs = plan.program
         assert isinstance(programs, tuple)
-        assert len(programs) == len(plan.engine.planes)
+        assert len(programs) == len(plan.planes)
         # star off-centre planes are point-wise -> no program
-        assert programs.count(None) == len(plan.engine.cuda_core_planes)
+        assert programs.count(None) == len(plan.cuda_core_planes)
 
     def test_cuda_core_plan_has_no_program(self):
         plan = build_plan(

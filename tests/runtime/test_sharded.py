@@ -59,7 +59,7 @@ class TestShardedSimulated:
         _, merged = compiled.apply_simulated(x, shards=2)
 
         total = 0
-        for s0, s1 in _shard_bounds(16, 2, compiled.engine.tile.out_rows):
+        for s0, s1 in _shard_bounds(16, 2, compiled.plan.kernel.out_rows):
             _, c = compiled.apply_simulated(x[s0 : s1 + 2 * h])
             total += c.mma_ops
         assert merged.mma_ops == total

@@ -145,6 +145,32 @@ class TestBackendDowngrade:
             e for e in EVENT_LOG.events() if e.kind == "backend.downgrade"
         ]
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize(
+        "kernel,shape",
+        [("Heat-1D", (160,)), ("Box-2D9P", (24, 24)), ("Heat-3D", (4, 10, 12))],
+    )
+    @pytest.mark.parametrize(
+        "fault_args",
+        [{"verify": "abft"}, {"policy": FAST}],
+        ids=["verify", "policy"],
+    )
+    def test_backend_resolved_once_per_sweep(
+        self, rng, kernel, shape, shards, fault_args
+    ):
+        """One fault-mode call under a defaulted vectorized backend is
+        one downgrade decision, however many shards or planes it runs."""
+        w = get_kernel(kernel).weights
+        compiled = repro.compile(w, backend="vectorized")
+        padded = np.pad(rng.normal(size=shape), w.radius)
+        before = self._downgrades()
+        out, _ = compiled.apply_simulated(padded, shards=shards, **fault_args)
+        reference, _ = compiled.apply_simulated(padded, backend="interpreter")
+        np.testing.assert_array_equal(out, reference)
+        assert self._downgrades() == before + 1
+        events = [e for e in EVENT_LOG.events() if e.kind == "backend.downgrade"]
+        assert len(events) == 1
+
     def test_plain_vectorized_run_does_not_signal(self, rng):
         compiled = _compiled(backend="vectorized")
         before = self._downgrades()

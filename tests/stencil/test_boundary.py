@@ -72,10 +72,10 @@ class TestGridIntegration:
     def test_grid_dirichlet_hot_wall(self):
         """A non-zero Dirichlet wall heats the plate toward the wall
         temperature — physically sensible end-to-end behaviour."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.kernels import get_kernel
 
-        eng = LoRAStencil2D(get_kernel("Heat-2D").weights.as_matrix())
+        eng = repro.compile(get_kernel("Heat-2D").weights)
         g = Grid(np.zeros((10, 10)), 1, boundary=Dirichlet(100.0))
         out = g.run(eng.apply, 50)
         assert out.min() > 0.0

@@ -1,11 +1,10 @@
-"""Generalization tests: every engine on the extended kernel zoo."""
+"""Generalization tests: every method on the extended kernel zoo."""
 
 import numpy as np
 import pytest
 
-from repro.core.engine1d import LoRAStencil1D
-from repro.core.engine2d import LoRAStencil2D
-from repro.core.engine3d import LoRAStencil3D
+import repro
+from repro.core.sweep import simulate
 from repro.baselines.convstencil import ConvStencil1D, ConvStencil2D
 from repro.stencil.extended import EXTENDED_KERNELS, get_extended_kernel
 from repro.stencil.reference import reference_apply
@@ -49,9 +48,9 @@ class TestZoo:
 class TestEnginesGeneralize:
     def test_1d7p(self, rng):
         w = get_extended_kernel("1D7P").weights
-        eng = LoRAStencil1D(w)
+        plan = repro.compile(w).plan
         x = rng.normal(size=200 + 6)
-        out, _ = eng.apply_simulated(x, block=128)
+        out, _ = simulate(plan, x, "interpreter", block=(128,))
         assert np.allclose(out, reference_apply(x, w), atol=1e-12)
         conv = ConvStencil1D(w)
         out2, _ = conv.apply_simulated(x, block=128)
@@ -60,7 +59,7 @@ class TestEnginesGeneralize:
     @pytest.mark.parametrize("name", EXT_2D)
     def test_2d_functional_and_simulated(self, rng, name):
         w = get_extended_kernel(name).weights
-        eng = LoRAStencil2D(w.as_matrix())
+        eng = repro.compile(w)
         x = rng.normal(size=(20 + 2 * w.radius, 25 + 2 * w.radius))
         ref = reference_apply(x, w)
         assert np.allclose(eng.apply(x), ref, atol=1e-11)
@@ -79,7 +78,7 @@ class TestEnginesGeneralize:
     @pytest.mark.parametrize("name", EXT_3D)
     def test_3d(self, rng, name):
         w = get_extended_kernel(name).weights
-        eng = LoRAStencil3D(w)
+        eng = repro.compile(w)
         x = rng.normal(size=(3 + 2 * w.radius, 10 + 2 * w.radius, 12 + 2 * w.radius))
         ref = reference_apply(x, w)
         assert np.allclose(eng.apply(x), ref, atol=1e-11)
@@ -88,9 +87,9 @@ class TestEnginesGeneralize:
 
     def test_star_3d13p_plane_split(self):
         """Order-2 3D star: four single-point planes, one rich plane."""
-        eng = LoRAStencil3D(get_extended_kernel("Star-3D13P").weights)
-        assert eng.cuda_core_planes == [0, 1, 3, 4]
-        assert eng.tensor_core_planes == [2]
+        eng = repro.compile(get_extended_kernel("Star-3D13P").weights)
+        assert eng.plan.cuda_core_planes == [0, 1, 3, 4]
+        assert eng.plan.tensor_core_planes == [2]
 
     def test_box_2d81p_uses_pma_with_5_levels(self):
         from repro.core.lowrank import decompose

@@ -93,11 +93,11 @@ class TestRandomAndCheckerboard:
     def test_checkerboard_killed_by_diffusion(self):
         """Physics sanity: the checkerboard is the fastest-decaying mode
         of the heat stencil."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.grid import Grid
         from repro.stencil.kernels import get_kernel
 
-        eng = LoRAStencil2D(get_kernel("Heat-2D").weights.as_matrix())
+        eng = repro.compile(get_kernel("Heat-2D").weights)
         grid = Grid(checkerboard((16, 16)), 1, boundary="periodic")
         out = grid.run(eng.apply, 10)
         assert np.abs(out).max() < 0.01

@@ -51,16 +51,16 @@ class TestSharedMemoryIntegration:
         assert counters.shared_bank_conflicts == 0
 
     def test_lorastencil_layout_is_conflict_light(self, rng):
-        """The engine's default block layout keeps fragment loads nearly
+        """The plan's default block layout keeps fragment loads nearly
         replay-free, while ConvStencil's strided stencil2row views pay
         a replay per load — extra hardware texture behind Fig. 10."""
         from repro.baselines.convstencil import ConvStencil2D
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.kernels import get_kernel
 
         w = get_kernel("Box-2D49P").weights
         x = rng.normal(size=(38, 38))
-        _, lora = LoRAStencil2D(w.as_matrix()).apply_simulated(x)
+        _, lora = repro.compile(w).apply_simulated(x)
         _, conv = ConvStencil2D(w.as_matrix()).apply_simulated(x)
         lora_rate = lora.shared_bank_conflicts / max(1, lora.shared_load_requests)
         conv_rate = conv.shared_bank_conflicts / max(1, conv.shared_load_requests)

@@ -207,11 +207,9 @@ class TestInstrMetadata:
 
 class TestProgram1D:
     def _setup_1d(self, rng, h=2, n=64):
-        from repro.core._deprecation import suppress_engine_deprecation
-        from repro.core.engine1d import LoRAStencil1D
+        from repro.core.rdg import BandedTile1D
 
-        with suppress_engine_deprecation():
-            engine = LoRAStencil1D(rng.normal(size=2 * h + 1))
+        engine = BandedTile1D(rng.normal(size=2 * h + 1))
         device = Device()
         warp = device.warp()
         smem = device.shared((engine.k_rows - 8 + n + 56,))
@@ -228,8 +226,8 @@ class TestProgram1D:
             "mma"
         ] * kb_n
         out = execute_program_1d(program, warp, smem, 0)
-        expected = engine._compute_tile(device.warp(), smem, 0)
-        assert np.array_equal(out, expected)
+        expected = engine.compute_tile(device.warp(), smem, 0, 0)
+        assert np.array_equal(out.T.reshape(1, -1), expected)
 
     def test_event_counts_match_eager(self, rng):
         from repro.tcu.program import build_tile_program_1d, execute_program_1d
@@ -240,19 +238,16 @@ class TestProgram1D:
         execute_program_1d(program, warp, smem, 0)
         prog_events = device.events_since(start)
         start = device.snapshot()
-        engine._compute_tile(warp, smem, 0)
+        engine.compute_tile(warp, smem, 0, 0)
         eager_events = device.events_since(start)
         assert prog_events == eager_events
 
     def test_rejects_cuda_core_engine(self, rng):
-        from repro.core._deprecation import suppress_engine_deprecation
-        from repro.core.engine1d import LoRAStencil1D
+        from repro.core.rdg import BandedTile1D
         from repro.tcu.program import build_tile_program_1d
 
-        with suppress_engine_deprecation():
-            engine = LoRAStencil1D(
-                rng.normal(size=5),
-                config=OptimizationConfig(use_tensor_cores=False),
-            )
+        engine = BandedTile1D(
+            rng.normal(size=5), config=OptimizationConfig(use_tensor_cores=False)
+        )
         with pytest.raises(ValueError, match="tensor-core"):
             build_tile_program_1d(engine)

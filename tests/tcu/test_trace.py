@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import OptimizationConfig
-from repro.core.engine2d import LoRAStencil2D
+import repro
 from repro.stencil.kernels import get_kernel
 from repro.tcu import Device, trace
 from repro.tcu.counters import EventCounters
@@ -20,10 +20,10 @@ def traced_device():
 
 def _one_tile_sweep(device, config=None):
     w = get_kernel("Box-2D49P").weights
-    eng = LoRAStencil2D(w.as_matrix(), config=config)
+    st = repro.compile(w, config=config)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(14, 14))  # exactly one 8x8 tile
-    eng.apply_simulated(x, device=device)
+    st.apply_simulated(x, device=device, backend="interpreter")
 
 
 class TestRecorder:

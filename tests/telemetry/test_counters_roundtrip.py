@@ -11,6 +11,7 @@ absorbing the original, field for field.
 import numpy as np
 import pytest
 
+from repro.core.sweep import simulate
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
 from repro.tcu.counters import EventCounters
@@ -24,7 +25,7 @@ def measured():
     plan = compile_stencil(get_kernel("Box-2D9P").weights).plan
     rng = np.random.default_rng(0)
     padded = np.pad(rng.normal(size=(16, 16)), plan.radius)
-    _, events = plan.engine.apply_simulated(padded)
+    _, events = simulate(plan, padded, "interpreter")
     return events
 
 
@@ -72,7 +73,7 @@ class TestRegistryAbsorption:
         padded = np.pad(rng.normal(size=(16, 16)), plan.radius)
 
         profiler = InstrProfiler()
-        _, events = plan.engine.apply_simulated(padded, profiler=profiler)
+        _, events = simulate(plan, padded, "interpreter", profiler=profiler)
 
         from_total, from_parts = MetricsRegistry(), MetricsRegistry()
         from_total.absorb_events(events)

@@ -10,6 +10,7 @@ built on sand.
 import numpy as np
 import pytest
 
+from repro.core.sweep import simulate
 from repro.errors import PerfError
 from repro.runtime import compile as compile_stencil
 from repro.stencil.kernels import get_kernel
@@ -41,7 +42,7 @@ class TestBitExactAttribution:
     def test_profiled_total_matches_uninstrumented_sweep(self, kernel):
         plan = compile_stencil(get_kernel(kernel).weights).plan
         padded = _padded(plan)
-        _, bare = plan.engine.apply_simulated(padded)
+        _, bare = simulate(plan, padded, "interpreter")
         profile = profile_plan(plan, padded)
         assert profile.total_events.as_dict() == bare.as_dict()
 
@@ -64,7 +65,7 @@ class TestBitExactAttribution:
         padded = _padded(box_plan)
         profile = profile_plan(box_plan, padded)
         rows, cols = (s - 2 * box_plan.radius for s in padded.shape)
-        tile = box_plan.engine.tile
+        tile = box_plan.kernel
         tiles = -(-rows // tile.out_rows) * (-(-cols // tile.out_cols))
         assert profile.instr_count == tiles * len(box_plan.program.instrs)
         assert sum(s.count for s in profile.by_term.values()) == (
@@ -73,10 +74,10 @@ class TestBitExactAttribution:
 
     def test_profiling_does_not_change_the_result(self, box_plan):
         padded = _padded(box_plan)
-        bare_out, _ = box_plan.engine.apply_simulated(padded)
+        bare_out, _ = simulate(box_plan, padded, "interpreter")
         profiler = InstrProfiler()
-        prof_out, _ = box_plan.engine.apply_simulated(
-            padded, profiler=profiler
+        prof_out, _ = simulate(
+            box_plan, padded, "interpreter", profiler=profiler
         )
         np.testing.assert_array_equal(prof_out, bare_out)
         assert profiler.instr_count() > 0
@@ -93,7 +94,7 @@ class TestVectorizedAttribution:
     def test_attribution_sums_to_sweep_totals(self, kernel):
         plan = compile_stencil(get_kernel(kernel).weights).plan
         padded = _padded(plan)
-        _, bare = plan.engine.apply_simulated(padded, backend="vectorized")
+        _, bare = simulate(plan, padded, "vectorized")
         profile = profile_plan(plan, padded, backend="vectorized")
         assert profile.total_events.as_dict() == bare.as_dict()
         by_op = EventCounters()

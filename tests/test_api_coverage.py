@@ -5,9 +5,10 @@ import pytest
 
 from repro.core.autotune import DEFAULT_TRAITS, autotune_2d
 from repro.core.driver import SimulationDriver
-from repro.core.engine2d import LoRAStencil2D
+from repro.core.functional import apply_decomposition
 from repro.core.lowrank import svd_decompose
-from repro.parallel import SimulatedCluster
+from repro.core.rdg import RDGTileCompute
+from repro.parallel import ClusterRuntime, distribute
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_apply
 
@@ -17,23 +18,23 @@ class TestCustomDecomposition:
         """Callers can bypass PMA (the ablation hook)."""
         w = get_kernel("Box-2D49P").weights
         forced = svd_decompose(w.as_matrix())
-        eng = LoRAStencil2D(w.as_matrix(), decomposition=forced)
-        assert eng.decomposition.method == "svd"
+        assert forced.method == "svd"
         x = rng.normal(size=(20, 20))
-        out, _ = eng.apply_simulated(x)
+        out = apply_decomposition(forced, x)
         assert np.allclose(out, reference_apply(x, w), atol=1e-11)
+        assert RDGTileCompute(forced, w.radius).mma_per_tile > 0
 
     def test_mismatched_decomposition_rejected(self, rng):
         w9 = get_kernel("Box-2D9P").weights
         w49 = get_kernel("Box-2D49P").weights
         wrong = svd_decompose(w9.as_matrix())
         with pytest.raises(ValueError):
-            LoRAStencil2D(w49.as_matrix(), decomposition=wrong)
+            RDGTileCompute(wrong, w49.radius)
 
 
 class TestDriverCustomEngine:
     def test_driver_with_tuned_engine(self, rng):
-        """The autotuner's engine plugs straight into the driver."""
+        """The autotuner's winner plugs straight into the driver."""
         k = get_kernel("Box-2D49P")
         tuned = autotune_2d(
             k.weights,
@@ -41,8 +42,7 @@ class TestDriverCustomEngine:
             tile_options=((8, 8), (16, 16)),
             measure_grid=(24, 24),
         )
-        engine = tuned.build_engine(k.weights)
-        driver = SimulationDriver(k.weights, engine=engine)
+        driver = SimulationDriver(k.weights, compiled=tuned.compile(k.weights))
         x0 = rng.normal(size=(16, 16))
         report = driver.run(x0, 2)
         from repro.stencil.reference import reference_iterate
@@ -58,14 +58,14 @@ class TestDriverCustomEngine:
 class TestClusterTimingsFields:
     def test_comm_fraction_zero_single_device(self):
         w = get_kernel("Box-2D9P").weights
-        t = SimulatedCluster(w, (256, 256), (1, 1)).timings()
+        t = ClusterRuntime(distribute(w, (256, 256), (1, 1))).timings()
         assert t.comm_s == 0.0
         assert t.comm_fraction == 0.0
         assert t.num_devices == 1
 
     def test_step_decomposition(self):
         w = get_kernel("Box-2D9P").weights
-        t = SimulatedCluster(w, (256, 256), (2, 2)).timings(steps=3)
+        t = ClusterRuntime(distribute(w, (256, 256), (2, 2))).timings(steps=3)
         assert t.step_s == pytest.approx(t.compute_s + t.comm_s)
         assert t.total_s == pytest.approx(3 * t.step_s)
 

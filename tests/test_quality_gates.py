@@ -98,10 +98,10 @@ class TestVectorization:
     """Guards against per-point Python loops sneaking into hot paths."""
 
     def test_functional_2d_apply_is_fast(self):
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
         from repro.stencil.kernels import get_kernel
 
-        eng = LoRAStencil2D(get_kernel("Box-2D49P").weights.as_matrix())
+        eng = repro.compile(get_kernel("Box-2D49P").weights)
         x = np.random.default_rng(0).normal(size=(1030, 1030))
         eng.apply(x)  # warm
         start = time.perf_counter()

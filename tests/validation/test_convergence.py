@@ -61,11 +61,11 @@ class TestConvergence:
 
     def test_simulated_engine_converges_too(self):
         """The warp-level TCU path solves the PDE just as well."""
-        from repro.core.engine2d import LoRAStencil2D
+        import repro
 
         class SimEngine:
             def __init__(self, w):
-                self.eng = LoRAStencil2D(w.as_matrix())
+                self.eng = repro.compile(w)
 
             def apply(self, padded):
                 return self.eng.apply_simulated(padded)[0]
