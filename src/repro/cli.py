@@ -1639,27 +1639,27 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             dir=args.checkpoint_dir,
             every=args.checkpoint_every,
             halt_after=args.halt_after_round,
+            # everything `cluster resume` needs to rebuild the plan and
+            # the input field from the manifest alone
+            meta={
+                "kernel": k.name,
+                "size": args.size,
+                "mesh": list(mesh),
+                "steps": args.steps,
+                "block_steps": args.block_steps,
+                "tiling": args.tiling,
+                "boundary": args.boundary,
+                "backend": args.backend,
+                "overlap": args.overlap,
+                "executor": args.executor,
+                "simulate": args.simulate,
+                "seed": args.seed,
+                "elastic": bool(run_kwargs.get("elastic", False)),
+                "faults": (
+                    [s.as_dict() for s in faults.specs] if faults else []
+                ),
+            },
         )
-        # everything `cluster resume` needs to rebuild the plan and the
-        # input field from the manifest alone
-        runtime.checkpoint_meta = {
-            "kernel": k.name,
-            "size": args.size,
-            "mesh": list(mesh),
-            "steps": args.steps,
-            "block_steps": args.block_steps,
-            "tiling": args.tiling,
-            "boundary": args.boundary,
-            "backend": args.backend,
-            "overlap": args.overlap,
-            "executor": args.executor,
-            "simulate": args.simulate,
-            "seed": args.seed,
-            "elastic": bool(run_kwargs.get("elastic", False)),
-            "faults": (
-                [s.as_dict() for s in faults.specs] if faults else []
-            ),
-        }
 
     observe = bool(args.record or args.events or args.record_history)
     observed = telemetry.capture() if observe else contextlib.nullcontext()

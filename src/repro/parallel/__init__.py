@@ -43,7 +43,6 @@ from repro.parallel.plan import (
 from repro.parallel.distributed import (
     advance_window,
     frame_regions,
-    interior_of,
     strip_window,
 )
 from repro.parallel.checkpoint import (
@@ -78,7 +77,6 @@ __all__ = [
     "distribute",
     "advance_window",
     "frame_regions",
-    "interior_of",
     "strip_window",
     "ClusterRuntime",
     "ClusterResult",

@@ -7,9 +7,8 @@ compute+exchange completes).  The snapshot carries everything needed to
 continue *bit-identically*:
 
 * every rank's block (the full distributed state — FP64, lossless);
-* the halo ledger (per-round byte log plus the reconciled running
-  total), so the three-ledger reconciliation still balances across a
-  resume;
+* the halo ledger (per-round byte log plus its running total), so a
+  resumed run's ledger spans the whole run;
 * the round index and phase schedule;
 * the fault injector's firing clocks (one-shot faults already spent
   before the checkpoint must not re-fire after a resume);
@@ -93,13 +92,16 @@ class CheckpointConfig:
     temporal-round barrier (1 = every round); ``halt_after`` stops the
     run (with :class:`CheckpointHalt`) right after saving at that round
     — the deterministic mid-run kill; ``keep`` bounds retained
-    snapshots (oldest pruned first; ``None`` keeps all).
+    snapshots (oldest pruned first; ``None`` keeps all); ``meta`` is a
+    free-form run description stored in every manifest (``repro
+    cluster resume`` rebuilds the plan from it).
     """
 
     dir: str
     every: int = 1
     halt_after: int | None = None
     keep: int | None = None
+    meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.every < 1:

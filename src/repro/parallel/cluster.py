@@ -1,39 +1,40 @@
 """The cluster runtime: executing a :class:`DistributedPlan`.
 
 :class:`ClusterRuntime` timesteps a global 1D/2D/3D problem across a
-device mesh by driving the *runtime* — every rank executes the plan's
-compiled :class:`~repro.runtime.facade.CompiledStencil`, so distributed
-runs honor ``backend=``, the plan cache, fault injection/ABFT, and the
-trace/event/health telemetry planes exactly like single-device sweeps.
-One phase-driven loop serves every mode:
-
-* per-step exchange (``block_steps=1``, the classic halo pipeline),
-* temporal blocking (trapezoid/diamond rounds from the plan's
-  :class:`~repro.parallel.plan.HaloSchedule`),
-* overlapped execution (``overlap=True``): the halo transfer is issued
-  asynchronously (``cp.async`` model) and each rank computes its
-  halo-independent interior *while the transfer is in flight*, then
-  finishes the boundary strips after arrival — bit-identical to the
-  synchronous exchange by the overlap-equivalence suite,
-* serial / thread / process executors; process ranks run in worker
-  processes under the PR 5 recovery ladder with their spans revived
-  into the parent trace.
-
-It produces the exact global trajectory (validated against the
-single-grid reference) plus a scaling-time model
-(:class:`ClusterTimings`) with an NVLink-like interconnect.
+device mesh; every rank executes the plan's compiled stencil, so
+distributed runs honor ``backend=``, the plan cache, fault injection /
+ABFT and telemetry exactly like single-device sweeps.
+:meth:`ClusterRuntime.run` is the paper's §IV-B copy/compute pipeline,
+a loop over temporal rounds through five named phases: **exchange**
+(sync, or async ``cp.async``-style under overlap) → **verify** (halo
+strip checksums) → **compute** (every rank; under overlap the interior
+while the transfer is in flight, then the boundary strips) → **fold**
+(blocks, counters, halo ledger) → **barrier** (checkpoints).
+:class:`ClusterTimings` models the scaling on an NVLink-like link.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import ExecutionError, FaultError, ReproError
+from repro.faults import (
+    HALO_KINDS,
+    MMA_KINDS,
+    STAGE_KINDS,
+    FaultReport,
+    RecoveryPolicy,
+    as_injector,
+    halo_frame_checksums,
+)
+from repro.faults.supervisor import supervise_tasks
 from repro.parallel.checkpoint import (
     CheckpointConfig,
     CheckpointError,
@@ -46,14 +47,14 @@ from repro.parallel.decomposition import Partition
 from repro.parallel.distributed import (
     advance_window,
     frame_regions,
-    interior_of,
     process_advance,
     strip_window,
 )
-from repro.parallel.halo import HaloExchanger, halo_bytes_counter
+from repro.parallel.halo import AsyncHaloHandle, HaloExchanger
 from repro.parallel.plan import DistributedPlan, distribute
 from repro.perf.costmodel import time_per_point
 from repro.perf.machine import A100, MachineSpec
+from repro.runtime.backends import resolve_backend
 from repro.stencil.weights import StencilWeights
 from repro.tcu.counters import EventCounters
 from repro.tcu.device import Device
@@ -61,7 +62,6 @@ from repro.telemetry.context import TraceContext
 from repro.telemetry.health import HEALTH
 from repro.telemetry.log import emit as emit_event
 from repro.telemetry.metrics import REGISTRY
-from repro.telemetry.spans import TRACER
 
 __all__ = [
     "ClusterRuntime",
@@ -136,6 +136,7 @@ class ClusterResult:
     field: np.ndarray
     steps: int
     phases: tuple[int, ...]
+    #: every halo byte the run moved: the sum of :attr:`round_log`
     exchanged_bytes: int
     counters: EventCounters | None = None
     fault_report: object | None = None
@@ -144,26 +145,16 @@ class ClusterResult:
     overlap: bool = False
     worker_pids: tuple[int, ...] = ()
     rank_plan_keys: tuple[str, ...] = ()
-    #: per-round exchange ledger: one dict per halo exchange with
-    #: ``round`` / ``steps`` / ``depth`` / ``halo_bytes`` (this round's
-    #: bit-exact contribution to :attr:`exchanged_bytes`) and
-    #: ``comm_bytes_max`` (the largest single-rank receive, the volume
-    #: the :class:`ClusterTimings` interconnect model charges)
+    #: the halo ledger, one dict per round: ``round`` / ``steps`` /
+    #: ``depth`` / ``halo_bytes`` (exchanges and retransmits) /
+    #: ``comm_bytes_max`` (the largest receive, what the model charges)
     round_log: tuple[dict, ...] = ()
-    #: growth of the process-wide ``repro_halo_bytes_total`` counter
-    #: across this run — reconciles bit-exactly with
-    #: :attr:`exchanged_bytes` (one accounting source)
-    halo_counter_delta: int = 0
-    #: the plan this run executed (the report needs its partition and
-    #: timing model); ``None`` only for hand-built results
+    #: the plan executed last (re-partitioned after an elastic re-plan)
     plan: DistributedPlan | None = None
     #: trace id of the run's ``cluster.run`` span (None when telemetry
     #: was off) — :meth:`report` finds the span forest by it
     trace_id: str | None = None
-    #: halo bytes inherited from the checkpoint a resumed run restarted
-    #: from — the three-ledger reconciliation adds these to the fresh
-    #: counter growth (:attr:`exchanged_bytes` spans the *whole* run,
-    #: :attr:`halo_counter_delta` only the resumed part)
+    #: the part of :attr:`exchanged_bytes` inherited from a checkpoint
     resumed_halo_bytes: int = 0
     #: resilience ledger (checkpoints saved/restored, halo detections
     #: and retransmits, elastic re-plans) — ``None`` when the run used
@@ -171,18 +162,19 @@ class ClusterResult:
     resilience: dict | None = None
 
     @property
+    def halo_counter_delta(self) -> int:
+        """Bytes moved by this call (a resume excludes its checkpoint's)."""
+        return self.exchanged_bytes - self.resumed_halo_bytes
+
+    @property
     def rounds(self) -> int:
         """Halo exchanges performed (messages per rank)."""
         return len(self.phases)
 
     def report(self, tracer=None):
-        """Post-process this run into a cluster observatory report.
-
-        Delegates to :func:`repro.telemetry.cluster.build_cluster_report`
-        against the merged trace (the run must have executed under
-        ``telemetry.capture()`` / an enabled tracer).  Raises
-        :class:`~repro.telemetry.validate.TelemetryError` when no
-        ``cluster.run`` span of this run is in the tracer's buffer.
+        """This run's cluster observatory report, built from the merged
+        trace (run under ``telemetry.capture()``); raises
+        :class:`~repro.telemetry.validate.TelemetryError` without one.
         """
         from repro.telemetry.cluster import build_cluster_report
 
@@ -198,16 +190,9 @@ class ClusterRuntime:
         self.plan = plan
         self.machine = machine
         self.part: Partition = plan.part
-        # one exchanger per halo depth, shared across runs so the byte
-        # ledger (and the repro_halo_bytes_total counter behind it)
-        # accumulates in exactly one place
+        # one exchanger per halo depth, shared across runs (staging
+        # buffers and the async lane are reused run after run)
         self._exchangers: dict[int, HaloExchanger] = {}
-        self.last_result: ClusterResult | None = None
-        self.last_fault_report = None
-        #: free-form run description stored in checkpoint manifests so
-        #: ``repro cluster resume`` can rebuild the plan (the CLI fills
-        #: this in; library callers may leave it empty)
-        self.checkpoint_meta: dict = {}
 
     # ------------------------------------------------------------------
     def exchanger(self, depth: int) -> HaloExchanger:
@@ -265,732 +250,53 @@ class ClusterRuntime:
     ) -> ClusterResult:
         """Timestep the global problem; returns a :class:`ClusterResult`.
 
-        ``block_steps`` / ``tiling`` override the plan's halo schedule
-        for this run (temporal blocking); ``overlap=True`` issues each
-        exchange asynchronously and computes interiors while it is in
-        flight; ``executor`` picks how ranks run within a round
-        (``"serial"`` / ``"thread"`` / ``"process"``).  ``simulate=True``
-        runs the faithful TCU sweep per rank (merged
-        :class:`~repro.tcu.counters.EventCounters` on the result) under
-        ``backend=``; ``verify`` / ``faults`` / ``policy`` arm the PR 5
-        fault-tolerance ladder — injected ``shard``/``rank`` faults
-        target ranks and recover through the shared supervisor, and
-        armed halo faults are caught by strip-checksum verification of
-        every exchanged window (with bounded retransmission).
-
-        ``checkpoint`` snapshots the run at temporal-round barriers
-        (see :class:`~repro.parallel.checkpoint.CheckpointConfig`);
-        ``resume_from`` continues a checkpointed run — ``global_field``
-        is ignored then (the blocks come from the snapshot) and the
-        completed trajectory is bit-identical to an uninterrupted run.
-        ``elastic=True`` lets a rank that exhausts its recovery ladder
-        be *dropped*: the surviving ranks re-partition the grid via
-        :func:`~repro.parallel.plan.distribute`, replay the failed
-        round from its barrier state, and finish the sweep —
-        bit-identically, because the per-point update chains are
-        partition-independent.  All modes produce bit-identical
-        trajectories (the equivalence suite asserts it).
+        ``block_steps`` / ``tiling`` override the plan's halo schedule;
+        ``overlap=True`` computes interiors while the exchange is in
+        flight; ``executor`` runs a round's ranks.  ``simulate=True``
+        runs the faithful TCU sweep (merged counters on the result).
+        ``verify`` / ``faults`` / ``policy`` arm the fault-tolerance
+        ladder; ``verify``, ``backend`` and MMA/stage faults act on the
+        simulated sweep in this process, so they need ``simulate=True``
+        and a serial or thread executor (else ``ValueError``).
+        ``checkpoint`` snapshots round barriers; ``resume_from``
+        continues from one, ignoring ``global_field``.  ``elastic=True``
+        re-partitions the survivors when a rank exhausts its recovery
+        ladder.  Every mode is bit-identical to the plain run; the
+        runtime is never modified (the executed plan is ``result.plan``).
         """
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        plan = self.plan
-        schedule = plan.schedule
-        if block_steps is not None or tiling is not None:
-            schedule = replace(
-                schedule,
-                block_steps=(
-                    schedule.block_steps if block_steps is None else block_steps
-                ),
-                tiling=schedule.tiling if tiling is None else tiling,
-            )
-        phases = schedule.phases(steps)  # validates steps >= 0
-
-        h = plan.radius
-        gshape = plan.global_shape
-        boundary = schedule.boundary
-        runtime = plan.compiled.runtime
-        subs = {sub.rank: sub for sub in self.part.subdomains}
-        ranks = sorted(subs)
-
-        fault_mode = bool(verify) or faults is not None or policy is not None
-        injector = None
-        report = None
-        before = None
-        if fault_mode:
-            from repro.faults import FaultReport, RecoveryPolicy, as_injector
-
-            injector = as_injector(faults)
-            report = injector.report if injector is not None else FaultReport()
-            policy = policy or RecoveryPolicy()
-            before = report.snapshot()
-        self.last_fault_report = report
-
-        resolved = None
-        if simulate:
-            from repro.runtime.backends import resolve_backend
-
-            resolved = resolve_backend(
-                backend, plan_default=plan.backend, fault_mode=fault_mode
-            )
-
-        halo_guard = False
-        if injector is not None:
-            from repro.faults.spec import HALO_KINDS
-
-            halo_guard = bool(injector.plan.by_kind(*HALO_KINDS))
-
-        ckpt_cfg = checkpoint
-        if isinstance(resume_from, str):
-            resume_from = load_checkpoint(resume_from)
-        resumed: ClusterCheckpoint | None = resume_from
-        start_round = 0
-        exchanged = 0
-        resumed_bytes = 0
-        round_log: list[dict] = []
-        if resumed is not None:
-            if resumed.plan_key != plan.key:
-                raise CheckpointError(
-                    "checkpoint was taken against a different distributed "
-                    f"plan (checkpoint {resumed.plan_key[:12]}…, current "
-                    f"{plan.key[:12]}…)"
-                )
-            if (
-                list(resumed.phases) != [int(p) for p in phases]
-                or resumed.steps != steps
-            ):
-                raise CheckpointError(
-                    "checkpoint phase schedule does not match this run "
-                    f"(checkpoint {resumed.phases} over {resumed.steps} "
-                    f"steps, current {[int(p) for p in phases]} over "
-                    f"{steps})"
-                )
-            blocks = {
-                rank: np.array(block, dtype=np.float64)
-                for rank, block in resumed.blocks.items()
-            }
-            exchanged = int(resumed.exchanged_bytes)
-            resumed_bytes = exchanged
-            round_log = [dict(entry) for entry in resumed.round_log]
-            start_round = resumed.round_index + 1
-            if injector is not None and resumed.fault_state:
-                injector.load_state(resumed.fault_state)
-        else:
-            blocks = self.scatter(global_field)
-
-        track_resilience = (
-            ckpt_cfg is not None
-            or resumed is not None
-            or elastic
-            or halo_guard
-        )
-        resilience: dict = {
-            "checkpoints": {
-                "saved": 0,
-                "restored": 1 if resumed is not None else 0,
-            },
-            "halo": {"detections": 0, "retransmits": 0, "recoveries": 0},
-            "replans": [],
-            "reassignments": 0,
-        }
-
-        total_counters = EventCounters() if simulate else None
-        ledger_before = halo_bytes_counter().value
-        pids: set[int] = set()
-        plan_keys: set[str] = set()
-        pool: ProcessPoolExecutor | None = None
-        if executor == "process":
-            pool = ProcessPoolExecutor(
-                max_workers=max_workers or min(len(ranks), os.cpu_count() or 1)
-            )
-
-        span_attrs = dict(
-            category="parallel",
-            plan=plan.key[:16],
-            devices=plan.num_devices,
-            steps=steps,
-            rounds=len(phases),
-            tiling=schedule.tiling,
+        state = _Run(
+            self,
+            global_field,
+            steps,
+            block_steps=block_steps,
+            tiling=tiling,
             overlap=overlap,
             executor=executor,
+            simulate=simulate,
+            backend=backend,
+            verify=verify,
+            faults=faults,
+            policy=policy,
+            max_workers=max_workers,
+            checkpoint=checkpoint,
+            resume_from=resume_from,
+            elastic=elastic,
         )
-        if resumed is not None:
-            span_attrs["resumed_from_round"] = resumed.round_index
-        if resumed is not None and resumed.trace_id and TRACER.enabled:
-            # continue the interrupted run's trace: pre-seeding the root
-            # span's trace id merges the resumed rounds into one tree
-            run_cm = TraceContext(resumed.trace_id, None).span(
-                "cluster.run", **span_attrs
-            )
-        else:
-            run_cm = telemetry.span("cluster.run", **span_attrs)
-        with run_cm as run_span:
-            ctx = TraceContext.capture()
-            sweep_health = HEALTH.start_sweep(f"cluster-{plan.key[:12]}")
-            saved_rounds: set[int] = set()
-            last_round_done = start_round - 1
-
-            def _save(round_idx: int):
-                ck = save_checkpoint(
-                    ckpt_cfg.dir,
-                    plan_key=plan.key,
-                    round_index=round_idx,
-                    phases=[int(p) for p in phases],
-                    steps=int(steps),
-                    exchanged_bytes=int(exchanged),
-                    round_log=[dict(entry) for entry in round_log],
-                    blocks=blocks,
-                    mesh=tuple(self.part.mesh),
-                    global_shape=tuple(gshape),
-                    trace_id=run_span.trace_id,
-                    fault_state=(
-                        injector.state_dict() if injector is not None else None
-                    ),
-                    meta=dict(self.checkpoint_meta),
-                    keep=ckpt_cfg.keep,
-                )
-                saved_rounds.add(round_idx)
-                resilience["checkpoints"]["saved"] += 1
-                return ck
-
-            def _guard_halos(windows, ex, round_i, depth) -> None:
-                """Verify every exchanged window's frame strips at
-                tolerance 0 against the sender-side checksums, with a
-                bounded retransmission ladder; an exhausted window
-                escalates to a rank failure (``failed_task`` set) so the
-                elastic re-plan treats the corrupting link's receiver as
-                dead."""
-                from repro.faults.abft import halo_frame_checksums
-
-                retransmits = getattr(policy, "max_halo_retransmits", 2)
-                # sender-side strip checksums, before any wire fault
-                sent = {
-                    rank: halo_frame_checksums(windows[rank], depth)
-                    for rank in ranks
-                }
-                injector.on_halo(windows, round_i, depth)
-                for rank in ranks:
-                    if halo_frame_checksums(windows[rank], depth) == sent[rank]:
-                        continue
-                    report.bump("halo_detections")
-                    resilience["halo"]["detections"] += 1
-                    emit_event(
-                        "halo.corrupt_detected",
-                        level="warning",
-                        message=(
-                            f"halo window of rank {rank} failed strip-"
-                            f"checksum verification in round {round_i}"
-                        ),
-                        rank=rank,
-                        round=round_i,
-                        depth=depth,
-                    )
-                    recovered = False
-                    for retry in range(retransmits):
-                        report.bump("halo_retransmits")
-                        resilience["halo"]["retransmits"] += 1
-                        win = ex.retransmit(rank)
-                        # sticky wire faults re-corrupt the replacement
-                        injector.on_halo_window(win, round_i, rank, depth)
-                        windows[rank] = win
-                        if halo_frame_checksums(win, depth) == sent[rank]:
-                            report.bump("halo_recoveries")
-                            resilience["halo"]["recoveries"] += 1
-                            emit_event(
-                                "halo.recovered",
-                                message=(
-                                    f"rank {rank} halo verified after "
-                                    "retransmission"
-                                ),
-                                rank=rank,
-                                round=round_i,
-                                attempt=retry + 1,
-                            )
-                            recovered = True
-                            break
-                    if not recovered:
-                        report.bump("unrecovered")
-                        emit_event(
-                            "halo.unrecovered",
-                            level="error",
-                            message=(
-                                f"halo window of rank {rank} exhausted "
-                                f"{retransmits} retransmissions"
-                            ),
-                            rank=rank,
-                            round=round_i,
-                        )
-                        error = FaultError(
-                            f"halo window of rank {rank} stayed corrupted "
-                            f"after {retransmits} retransmissions"
-                        )
-                        error.failed_task = rank
-                        raise error
-
-            try:
-                worklist = list(range(start_round, len(phases)))
-                round_marks: dict[int, int] = {}
-                while worklist:
-                    round_i = worklist[0]
-                    k = phases[round_i]
-                    # per-round byte mark survives elastic retries, so
-                    # aborted attempts' traffic still lands in the round's
-                    # ledger entry (one accounting source)
-                    round_marks.setdefault(
-                        round_i, halo_bytes_counter().value
-                    )
-                    depth = schedule.depth(k)
-                    ex = self.exchanger(depth)
-                    # halo verification needs the materialized windows
-                    # before any rank computes — it is a synchronization
-                    # point, so the guard forces the sync exchange path
-                    effective_overlap = overlap and not halo_guard
-                    handle = None
-                    windows = None
-                    if effective_overlap:
-                        # cp.async commit: blocks are snapshotted into the
-                        # staging buffer before this returns; the transfer
-                        # materializes on the exchanger's background lane
-                        # while ranks compute their interiors below
-                        with telemetry.span(
-                            "cluster.exchange",
-                            category="parallel",
-                            round=round_i,
-                            depth=depth,
-                            mode="async",
-                        ) as ex_span:
-                            handle = ex.exchange_async(blocks)
-                            ex_span.annotate(bytes=handle.bytes_issued)
-                    else:
-                        with telemetry.span(
-                            "cluster.exchange",
-                            category="parallel",
-                            round=round_i,
-                            depth=depth,
-                            mode="sync",
-                        ) as ex_span:
-                            issued = ex.exchanged_bytes
-                            windows = ex.exchange(blocks)
-                            ex_span.annotate(
-                                bytes=ex.exchanged_bytes - issued
-                            )
-
-                    def rank_worker(i: int, rank: int):
-                        if injector is not None and executor == "process":
-                            # shard faults fire in the dispatcher, where
-                            # the supervisor's timeout/retry can see them;
-                            # the ctx-attached span keeps the fault.inject
-                            # child inside the run's trace instead of an
-                            # orphan root on the supervisor thread
-                            with ctx.span(
-                                "cluster.dispatch",
-                                category="parallel",
-                                rank=rank,
-                                round=round_i,
-                            ):
-                                injector.on_shard(rank)
-                                injector.on_rank(rank)
-                        with HEALTH.bind(
-                            sweep_health.shard(rank, rows=f"rank {rank}")
-                        ):
-                            if executor == "process":
-                                if handle is not None:
-                                    with ctx.span(
-                                        "cluster.wait",
-                                        category="parallel",
-                                        rank=rank,
-                                        round=round_i,
-                                    ):
-                                        win = handle.wait()[rank]
-                                else:
-                                    win = windows[rank]
-                                return process_advance(
-                                    pool,
-                                    rank,
-                                    win,
-                                    subs[rank],
-                                    plan,
-                                    k,
-                                    ctx,
-                                    simulate=simulate,
-                                    backend=resolved,
-                                    round_i=round_i,
-                                )
-                            with ctx.span(
-                                "cluster.rank",
-                                category="parallel",
-                                rank=rank,
-                                steps=k,
-                                round=round_i,
-                            ) as sp:
-                                if injector is not None:
-                                    injector.on_shard(rank)
-                                    injector.on_rank(rank)
-                                local = (
-                                    EventCounters() if simulate else None
-                                )
-
-                                def apply_fn(win, _acc=local):
-                                    if _acc is None:
-                                        return runtime.apply(win)
-                                    out, ev = runtime.sweep(
-                                        win,
-                                        resolved,
-                                        Device(injector=injector),
-                                        verify=verify,
-                                        policy=policy,
-                                        report=report,
-                                    )
-                                    _acc += ev
-                                    return out
-
-                                sub = subs[rank]
-                                origin = tuple(
-                                    s.start - depth for s in sub.slices
-                                )
-                                lane = dict(
-                                    category="parallel",
-                                    rank=rank,
-                                    round=round_i,
-                                )
-                                if handle is None:
-                                    with telemetry.span(
-                                        "cluster.compute", **lane
-                                    ):
-                                        out = advance_window(
-                                            apply_fn,
-                                            windows[rank],
-                                            origin,
-                                            gshape,
-                                            boundary,
-                                            k,
-                                            h,
-                                        )
-                                elif local is not None:
-                                    # the simulated sweep tiles the whole
-                                    # window (the tile decomposition is
-                                    # part of the bit/counter contract),
-                                    # so overlap models the async
-                                    # transfer and sweeps after arrival
-                                    with telemetry.span(
-                                        "cluster.wait", **lane
-                                    ):
-                                        win = handle.wait()[rank]
-                                    with telemetry.span(
-                                        "cluster.compute", **lane
-                                    ):
-                                        out = advance_window(
-                                            apply_fn,
-                                            win,
-                                            origin,
-                                            gshape,
-                                            boundary,
-                                            k,
-                                            h,
-                                        )
-                                else:
-                                    block = blocks[rank]
-                                    interior, strips = frame_regions(
-                                        block.shape, depth
-                                    )
-                                    if interior is None:
-                                        # block too small to hide any
-                                        # compute: wait, then full window
-                                        with telemetry.span(
-                                            "cluster.wait", **lane
-                                        ):
-                                            win = handle.wait()[rank]
-                                        with telemetry.span(
-                                            "cluster.compute", **lane
-                                        ):
-                                            out = advance_window(
-                                                apply_fn,
-                                                win,
-                                                origin,
-                                                gshape,
-                                                boundary,
-                                                k,
-                                                h,
-                                            )
-                                    else:
-                                        with telemetry.span(
-                                            "cluster.interior", **lane
-                                        ):
-                                            core = interior_of(
-                                                apply_fn,
-                                                block,
-                                                sub,
-                                                gshape,
-                                                boundary,
-                                                k,
-                                                h,
-                                            )
-                                        with telemetry.span(
-                                            "cluster.wait", **lane
-                                        ):
-                                            win = handle.wait()[rank]
-                                        out = np.empty(
-                                            sub.shape, dtype=np.float64
-                                        )
-                                        out[interior] = core
-                                        with telemetry.span(
-                                            "cluster.stitch", **lane
-                                        ):
-                                            for region in strips:
-                                                sw = strip_window(
-                                                    win, region, depth
-                                                )
-                                                so = tuple(
-                                                    s.start
-                                                    + r.start
-                                                    - depth
-                                                    for s, r in zip(
-                                                        sub.slices, region
-                                                    )
-                                                )
-                                                out[region] = (
-                                                    advance_window(
-                                                        apply_fn,
-                                                        sw,
-                                                        so,
-                                                        gshape,
-                                                        boundary,
-                                                        k,
-                                                        h,
-                                                    )
-                                                )
-                                if local is not None:
-                                    sp.add_events(local)
-                                return out, local, None
-
-                    try:
-                        if halo_guard and depth > 0:
-                            _guard_halos(windows, ex, round_i, depth)
-                        if fault_mode:
-                            from repro.faults.supervisor import (
-                                supervise_tasks,
-                            )
-
-                            results = supervise_tasks(
-                                {r: (r,) for r in ranks},
-                                rank_worker,
-                                policy,
-                                report,
-                                max_workers=(
-                                    1
-                                    if executor == "serial"
-                                    else max_workers
-                                ),
-                                health=sweep_health,
-                                describe=lambda args: f"rank {args[0]}",
-                            )
-                        elif executor == "serial":
-                            results = {r: rank_worker(r, r) for r in ranks}
-                        else:
-                            with ThreadPoolExecutor(
-                                max_workers=max_workers
-                            ) as tp:
-                                futures = {
-                                    r: tp.submit(rank_worker, r, r)
-                                    for r in ranks
-                                }
-                                results = {}
-                                for r, future in futures.items():
-                                    try:
-                                        results[r] = future.result()
-                                    except ReproError:
-                                        raise
-                                    except Exception as exc:
-                                        raise ExecutionError(
-                                            f"cluster rank {r} of "
-                                            f"{len(ranks)} failed: {exc}"
-                                        ) from exc
-
-                        for r in ranks:
-                            out, ev, info = results[r]
-                            blocks[r] = out
-                            if ev is not None and total_counters is not None:
-                                total_counters += ev
-                            if info:
-                                pids.add(info["pid"])
-                                plan_keys.add(info["plan_key"])
-                    except FaultError as exc:
-                        dead = getattr(exc, "failed_task", None)
-                        if not elastic or dead is None or len(ranks) <= 1:
-                            raise
-                        # elastic re-plan: ``blocks`` still hold the
-                        # round-start barrier state (results only fold
-                        # after every rank succeeds), so shrinking the
-                        # mesh and replaying this round is lossless —
-                        # and bit-identical, because the per-point
-                        # update chains are partition-independent
-                        global_now = self.gather(blocks)
-                        old_mesh = tuple(self.part.mesh)
-                        new_mesh = (len(ranks) - 1,) + (1,) * (
-                            len(gshape) - 1
-                        )
-                        plan = distribute(
-                            plan.source_weights,
-                            gshape,
-                            new_mesh,
-                            boundary=boundary,
-                            block_steps=schedule.block_steps,
-                            tiling=schedule.tiling,
-                            backend=plan.backend,
-                        )
-                        schedule = plan.schedule
-                        self.plan = plan
-                        self.part = plan.part
-                        self._exchangers = {}
-                        runtime = plan.compiled.runtime
-                        subs = {
-                            sub.rank: sub for sub in self.part.subdomains
-                        }
-                        ranks = sorted(subs)
-                        blocks = self.scatter(global_now)
-                        if injector is not None:
-                            # survivors are renumbered: the dead rank's
-                            # (possibly sticky) faults must not transfer
-                            # onto whoever inherits its index
-                            injector.disarm_rank(dead)
-                        if report is not None:
-                            report.bump("rank_reassignments")
-                            if report.counts.get("unrecovered", 0) > 0:
-                                # the supervisor booked the exhausted
-                                # ladder as unrecovered before the
-                                # replan ran; the re-partition *is*
-                                # the recovery
-                                report.bump("unrecovered", -1)
-                        REGISTRY.counter(
-                            "repro_rank_reassignments_total",
-                            help=(
-                                "cluster ranks replaced by an elastic "
-                                "re-partition"
-                            ),
-                        ).inc()
-                        resilience["reassignments"] += 1
-                        resilience["replans"].append(
-                            {
-                                "round": int(round_i),
-                                "dead_rank": int(dead),
-                                "old_mesh": [int(m) for m in old_mesh],
-                                "new_mesh": [int(m) for m in new_mesh],
-                            }
-                        )
-                        emit_event(
-                            "rank.reassigned",
-                            level="warning",
-                            message=(
-                                f"rank {dead} exhausted its recovery "
-                                f"ladder; re-partitioned {old_mesh} -> "
-                                f"{new_mesh}, replaying round {round_i}"
-                            ),
-                            dead_rank=int(dead),
-                            round=int(round_i),
-                            old_mesh=list(old_mesh),
-                            new_mesh=list(new_mesh),
-                        )
-                        continue
-
-                    round_moved = int(
-                        halo_bytes_counter().value
-                        - round_marks.pop(round_i)
-                    )
-                    exchanged += round_moved
-                    round_log.append(
-                        {
-                            "round": round_i,
-                            "steps": k,
-                            "depth": depth,
-                            "halo_bytes": round_moved,
-                            "comm_bytes_max": max(
-                                ex.bytes_per_exchange(s.rank)
-                                for s in self.part.subdomains
-                            ),
-                        }
-                    )
-                    last_round_done = round_i
-                    worklist.pop(0)
-                    if ckpt_cfg is not None and (
-                        (round_i + 1) % ckpt_cfg.every == 0
-                        or ckpt_cfg.halt_after == round_i
-                    ):
-                        ck = _save(round_i)
-                        if ckpt_cfg.halt_after == round_i:
-                            raise CheckpointHalt(ck.path, round_i)
-            except KeyboardInterrupt:
-                # don't leak the pool or lose the run's progress: kill
-                # the workers, flush what we know, and leave the last
-                # completed barrier behind as a resumable checkpoint
-                if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    for proc in list(
-                        (getattr(pool, "_processes", None) or {}).values()
-                    ):
-                        try:
-                            proc.terminate()
-                        except Exception:  # pragma: no cover - defensive
-                            pass
-                    pool = None
-                emit_event(
-                    "run.interrupted",
-                    level="warning",
-                    message=(
-                        "cluster run interrupted after "
-                        f"{last_round_done + 1} of {len(phases)} rounds"
-                    ),
-                    rounds_done=last_round_done + 1,
-                    rounds_total=len(phases),
-                )
-                if (
-                    ckpt_cfg is not None
-                    and last_round_done >= 0
-                    and last_round_done not in saved_rounds
-                ):
-                    _save(last_round_done)
-                raise
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True)
-                HEALTH.publish()
-                HEALTH.write_file()
-
-            if total_counters is not None:
-                run_span.add_events(total_counters)
-                telemetry.absorb_events(total_counters)
-            if report is not None:
-                run_span.annotate(
-                    faults_injected=report.total_injected,
-                    faults_detected=report.total_detected,
-                    faults_recovered=report.total_recovered,
-                )
-                telemetry.absorb_faults(report.delta(before))
-            run_span.annotate(halo_bytes=exchanged)
-
-        result = ClusterResult(
-            field=self.gather(blocks),
-            steps=steps,
-            phases=phases,
-            exchanged_bytes=exchanged,
-            counters=total_counters,
-            fault_report=report,
-            backend=resolved,
-            executor=executor,
-            overlap=overlap,
-            worker_pids=tuple(sorted(pids)),
-            rank_plan_keys=tuple(sorted(plan_keys)),
-            round_log=tuple(round_log),
-            halo_counter_delta=int(
-                halo_bytes_counter().value - ledger_before
-            ),
-            plan=plan,
-            trace_id=run_span.trace_id,
-            resumed_halo_bytes=resumed_bytes,
-            resilience=resilience if track_resilience else None,
-        )
-        self.last_result = result
-        return result
+        with state.session():
+            round_i = state.start_round
+            while round_i < len(state.phases):
+                rnd = state.exchange(round_i)
+                try:
+                    state.verify(rnd)
+                    results = state.compute(rnd)
+                except FaultError as exc:
+                    # the blocks still hold the round's barrier state
+                    state.replan(exc, round_i)
+                    continue
+                state.fold(rnd, results)
+                state.barrier(round_i)
+                round_i += 1
+        return state.result()
 
     # ------------------------------------------------------------------
     # scaling model
@@ -1067,4 +373,578 @@ class ClusterRuntime:
             boundary_s=per_point * (block_points - interior_points),
             points=int(np.prod(self.plan.global_shape)),
             block_steps=block_steps,
+        )
+
+
+# -- one run: its state and the round phases ----------------------------
+@dataclass
+class _Round:
+    """One round's exchange: ``windows`` (sync) or ``handle`` (async)."""
+
+    index: int
+    steps: int
+    depth: int
+    exchanger: HaloExchanger
+    windows: dict[int, np.ndarray] | None = None
+    handle: AsyncHaloHandle | None = None
+
+
+class _Run:
+    """The state of one :meth:`ClusterRuntime.run`, a method per phase.
+
+    ``cluster`` is the caller's runtime, or a private one after an
+    elastic re-plan.  The halo ledger is ``round_log``: exchanges and
+    retransmits book into the open round; the fold closes its entry.
+    """
+
+    def __init__(
+        self,
+        cluster: ClusterRuntime,
+        global_field,
+        steps: int,
+        *,
+        block_steps,
+        tiling,
+        overlap,
+        executor,
+        simulate,
+        backend,
+        verify,
+        faults,
+        policy,
+        max_workers,
+        checkpoint,
+        resume_from,
+        elastic,
+    ) -> None:
+        if executor not in EXECUTORS:
+            raise ValueError(
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
+            )
+        self.injector = as_injector(faults)
+        specs = self.injector.plan.specs if self.injector is not None else ()
+        kinds = {spec.kind for spec in specs}
+        tcu_faults = any(kind in MMA_KINDS + STAGE_KINDS for kind in kinds)
+        if not simulate and (verify or backend is not None or tcu_faults):
+            raise ValueError(
+                "verify=, backend= and MMA/stage faults need simulate=True"
+            )
+        if executor == "process" and (verify or tcu_faults):
+            raise ValueError(
+                "process ranks run without ABFT and the fault injector: "
+                "verify= and MMA/stage faults need executor serial/thread"
+            )
+        schedule = cluster.plan.schedule
+        if block_steps is not None or tiling is not None:
+            schedule = replace(
+                schedule,
+                block_steps=(
+                    schedule.block_steps if block_steps is None else block_steps
+                ),
+                tiling=schedule.tiling if tiling is None else tiling,
+            )
+        self.phases = schedule.phases(steps)  # validates steps >= 0
+        self.steps, self.schedule = steps, schedule
+        self._adopt(cluster)
+        self.overlap, self.executor, self.elastic = overlap, executor, elastic
+        self.simulate, self.verify_mode = simulate, verify
+        self.checkpoint, self.max_workers = checkpoint, max_workers
+        self.halo_guard = any(kind in HALO_KINDS for kind in kinds)
+        self.fault_mode = (
+            bool(verify) or faults is not None or policy is not None
+        )
+        self.report = self.before = None
+        if self.fault_mode:
+            self.report = (
+                self.injector.report if self.injector else FaultReport()
+            )
+            self.before = self.report.snapshot()
+            policy = policy or RecoveryPolicy()
+        self.policy = policy
+        self.backend = None
+        if simulate:
+            self.backend = resolve_backend(
+                backend,
+                plan_default=self.plan.backend,
+                fault_mode=self.fault_mode,
+            )
+        if isinstance(resume_from, str):
+            resume_from = load_checkpoint(resume_from)
+        self.resumed: ClusterCheckpoint | None = resume_from
+        self.round_log: list[dict] = []
+        self.start_round = 0
+        if resume_from is None:
+            self.blocks = cluster.scatter(global_field)
+        else:
+            self._restore(resume_from)
+        self.pending_bytes = 0  # booked into the open round so far
+        self.saved_rounds: set[int] = set()
+        self.halo_tally = dict(detections=0, retransmits=0, recoveries=0)
+        self.replans: list[dict] = []
+        self.counters = EventCounters() if simulate else None
+        self.pids: set[int] = set()
+        self.plan_keys: set[str] = set()
+        self.pool: ProcessPoolExecutor | None = None
+        self.threads: ThreadPoolExecutor | None = None
+
+    def _adopt(self, cluster: ClusterRuntime) -> None:
+        self.cluster = cluster
+        self.subs = {sub.rank: sub for sub in cluster.part.subdomains}
+        self.ranks = sorted(self.subs)
+
+    @property
+    def plan(self) -> DistributedPlan:
+        return self.cluster.plan
+
+    def _restore(self, ck: ClusterCheckpoint) -> None:
+        if ck.plan_key != self.plan.key:
+            raise CheckpointError(
+                "checkpoint was taken against a different distributed "
+                f"plan (checkpoint {ck.plan_key[:12]}…, current "
+                f"{self.plan.key[:12]}…)"
+            )
+        phases = [int(p) for p in self.phases]
+        if list(ck.phases) != phases or ck.steps != self.steps:
+            raise CheckpointError(
+                "checkpoint phase schedule does not match this run "
+                f"(checkpoint {ck.phases} over {ck.steps} steps, current "
+                f"{phases} over {self.steps})"
+            )
+        self.blocks = {
+            rank: np.array(block, dtype=np.float64)
+            for rank, block in ck.blocks.items()
+        }
+        self.round_log = [dict(entry) for entry in ck.round_log]
+        self.start_round = ck.round_index + 1
+        if self.injector is not None and ck.fault_state:
+            self.injector.load_state(ck.fault_state)
+
+    @property
+    def exchanged(self) -> int:
+        return sum(int(entry["halo_bytes"]) for entry in self.round_log)
+
+    @contextmanager
+    def session(self):
+        """The ``cluster.run`` span, pools and health around the loop."""
+        attrs = dict(
+            category="parallel",
+            plan=self.plan.key[:16],
+            devices=self.plan.num_devices,
+            steps=self.steps,
+            rounds=len(self.phases),
+            tiling=self.schedule.tiling,
+            overlap=self.overlap,
+            executor=self.executor,
+        )
+        resumed, root = self.resumed, telemetry.span
+        if resumed is not None:
+            attrs["resumed_from_round"] = resumed.round_index
+            if resumed.trace_id:
+                # the resumed rounds join the interrupted run's trace
+                root = TraceContext(resumed.trace_id, None).span
+        with root("cluster.run", **attrs) as span:
+            self.trace_id = span.trace_id
+            self.ctx = TraceContext.capture()
+            self.health = HEALTH.start_sweep(f"cluster-{self.plan.key[:12]}")
+            try:
+                if self.executor == "process":
+                    cpus = min(len(self.ranks), os.cpu_count() or 1)
+                    self.pool = ProcessPoolExecutor(self.max_workers or cpus)
+                if self.executor != "serial" and not self.fault_mode:
+                    self.threads = ThreadPoolExecutor(self.max_workers)
+                yield
+            except KeyboardInterrupt:
+                self._interrupted()
+                raise
+            finally:
+                for pool in (self.threads, self.pool):
+                    if pool is not None:
+                        pool.shutdown(wait=True)
+                HEALTH.publish()
+                HEALTH.write_file()
+            if self.counters is not None:
+                span.add_events(self.counters)
+                telemetry.absorb_events(self.counters)
+            if self.report is not None:
+                span.annotate(
+                    faults_injected=self.report.total_injected,
+                    faults_detected=self.report.total_detected,
+                    faults_recovered=self.report.total_recovered,
+                )
+                telemetry.absorb_faults(self.report.delta(self.before))
+            span.annotate(halo_bytes=self.exchanged)
+
+    def _interrupted(self) -> None:
+        """Kill the workers; leave the last barrier as a checkpoint."""
+        if self.pool is not None:
+            self.pool.shutdown(wait=False, cancel_futures=True)
+            for proc in list(
+                (getattr(self.pool, "_processes", None) or {}).values()
+            ):
+                try:
+                    proc.terminate()
+                except Exception:  # pragma: no cover - defensive
+                    pass
+            self.pool = None
+        done, total = len(self.round_log), len(self.phases)
+        emit_event(
+            "run.interrupted",
+            level="warning",
+            message=f"cluster run interrupted after {done} of {total} rounds",
+            rounds_done=done,
+            rounds_total=total,
+        )
+        if self.checkpoint is not None and done:
+            if done - 1 not in self.saved_rounds:
+                self._save(done - 1)
+
+    def exchange(self, round_i: int) -> _Round:
+        """Phase 1: issue the round's halo exchange and book its bytes.
+        Armed halo faults force sync: verify needs every window first."""
+        k = self.phases[round_i]
+        depth = self.schedule.depth(k)
+        ex = self.cluster.exchanger(depth)
+        rnd = _Round(round_i, k, depth, ex)
+        overlapped = self.overlap and not self.halo_guard
+        with telemetry.span(
+            "cluster.exchange",
+            category="parallel",
+            round=round_i,
+            depth=depth,
+            mode="async" if overlapped else "sync",
+        ) as span:
+            if overlapped:
+                # cp.async commit: the blocks are snapshotted on return
+                rnd.handle = ex.exchange_async(self.blocks)
+            else:
+                rnd.windows = ex.exchange(self.blocks)
+            span.annotate(bytes=ex.total_bytes_per_exchange())
+        self.pending_bytes += ex.total_bytes_per_exchange()
+        return rnd
+
+    def verify(self, rnd: _Round) -> None:
+        """Phase 2: check every window's frame strips against the
+        sender's checksums, retransmitting a bounded number of times."""
+        if not self.halo_guard or rnd.depth <= 0:
+            return
+        report, tally = self.report, self.halo_tally
+        windows, depth, round_i = rnd.windows, rnd.depth, rnd.index
+        retransmits = getattr(self.policy, "max_halo_retransmits", 2)
+        # sender-side strip checksums, before any wire fault
+        sent = {
+            rank: halo_frame_checksums(windows[rank], depth)
+            for rank in self.ranks
+        }
+        self.injector.on_halo(windows, round_i, depth)
+        for rank in self.ranks:
+            if halo_frame_checksums(windows[rank], depth) == sent[rank]:
+                continue
+            report.bump("halo_detections")
+            tally["detections"] += 1
+            emit_event(
+                "halo.corrupt_detected",
+                level="warning",
+                message=f"rank {rank} halo failed checksum in round {round_i}",
+                rank=rank,
+                round=round_i,
+                depth=depth,
+            )
+            for retry in range(retransmits):
+                report.bump("halo_retransmits")
+                tally["retransmits"] += 1
+                win = rnd.exchanger.retransmit(rank)
+                self.pending_bytes += rnd.exchanger.bytes_per_exchange(rank)
+                # sticky wire faults re-corrupt the replacement
+                self.injector.on_halo_window(win, round_i, rank, depth)
+                windows[rank] = win
+                if halo_frame_checksums(win, depth) == sent[rank]:
+                    report.bump("halo_recoveries")
+                    tally["recoveries"] += 1
+                    emit_event(
+                        "halo.recovered",
+                        message=f"rank {rank} halo verified on retransmit",
+                        rank=rank,
+                        round=round_i,
+                        attempt=retry + 1,
+                    )
+                    break
+            else:
+                report.bump("unrecovered")
+                error = FaultError(
+                    f"halo window of rank {rank} stayed corrupted after "
+                    f"{retransmits} retransmissions"
+                )
+                emit_event(
+                    "halo.unrecovered",
+                    level="error",
+                    message=str(error),
+                    rank=rank,
+                    round=round_i,
+                )
+                # the elastic re-plan treats the receiver as dead
+                error.failed_task = rank
+                raise error
+
+    def compute(self, rnd: _Round) -> dict[int, tuple]:
+        """Phase 3: every rank's round under the run's executor."""
+        if self.fault_mode:
+            return supervise_tasks(
+                {r: (r,) for r in self.ranks},
+                lambda _, rank: self._rank(rnd, rank),
+                self.policy,
+                self.report,
+                max_workers=1 if self.executor == "serial" else self.max_workers,
+                health=self.health,
+                describe=lambda args: f"rank {args[0]}",
+            )
+        if self.threads is None:
+            return {r: self._rank(rnd, r) for r in self.ranks}
+        futures = {
+            r: self.threads.submit(self._rank, rnd, r) for r in self.ranks
+        }
+        for r, future in futures.items():
+            exc = future.exception()
+            if isinstance(exc, ReproError):
+                raise exc
+            if exc is not None:
+                raise ExecutionError(
+                    f"cluster rank {r} of {len(self.ranks)} failed: {exc}"
+                ) from exc
+        return {r: future.result() for r, future in futures.items()}
+
+    def _rank(self, rnd: _Round, rank: int):
+        """One rank's round: ``(block, counters | None, worker info)``."""
+        lane = dict(category="parallel", rank=rank, round=rnd.index)
+        if self.pool is not None and self.injector is not None:
+            # shard faults fire where the supervisor's timeout/retry sees
+            # them, under a span that keeps fault.inject in the run's trace
+            with self.ctx.span("cluster.dispatch", **lane):
+                self.injector.on_shard(rank)
+                self.injector.on_rank(rank)
+        with HEALTH.bind(self.health.shard(rank, rows=f"rank {rank}")):
+            if self.pool is not None:
+                return process_advance(
+                    self.pool,
+                    rank,
+                    self._arrival(rnd, rank, self.ctx.span, lane),
+                    self.subs[rank],
+                    self.plan,
+                    rnd.steps,
+                    self.ctx,
+                    simulate=self.simulate,
+                    backend=self.backend,
+                    round_i=rnd.index,
+                )
+            with self.ctx.span(
+                "cluster.rank",
+                category="parallel",
+                rank=rank,
+                steps=rnd.steps,
+                round=rnd.index,
+            ) as span:
+                if self.injector is not None:
+                    self.injector.on_shard(rank)
+                    self.injector.on_rank(rank)
+                local = EventCounters() if self.simulate else None
+                out = self._advance(rnd, rank, local, lane)
+                if local is not None:
+                    span.add_events(local)
+                return out, local, None
+
+    def _advance(self, rnd: _Round, rank: int, local, lane) -> np.ndarray:
+        """Overlap with an interior to hide: interior, wait, stitch the
+        frame strips.  Otherwise: wait if in flight, advance the window."""
+        sub, depth = self.subs[rank], rnd.depth
+        advance = partial(
+            advance_window,
+            partial(self._apply, local),
+            global_shape=self.plan.global_shape,
+            boundary=self.schedule.boundary,
+            steps=rnd.steps,
+            h=self.plan.radius,
+        )
+        interior, strips = None, []
+        if rnd.handle is not None and local is None:
+            # the simulated sweep's tile decomposition is part of its
+            # bit/counter contract, so only the functional path splits
+            interior, strips = frame_regions(sub.shape, depth)
+        if interior is None:
+            win = self._arrival(rnd, rank, telemetry.span, lane)
+            with telemetry.span("cluster.compute", **lane):
+                return advance(win, [s.start - depth for s in sub.slices])
+        with telemetry.span("cluster.interior", **lane):
+            # the interior's dependency cone never leaves the block
+            core = advance(self.blocks[rank], [s.start for s in sub.slices])
+        win = self._arrival(rnd, rank, telemetry.span, lane)
+        out = np.empty(sub.shape, dtype=np.float64)
+        out[interior] = core
+        with telemetry.span("cluster.stitch", **lane):
+            for region in strips:
+                origin = [
+                    s.start + r.start - depth for s, r in zip(sub.slices, region)
+                ]
+                out[region] = advance(strip_window(win, region, depth), origin)
+        return out
+
+    @staticmethod
+    def _arrival(rnd: _Round, rank: int, span, lane) -> np.ndarray:
+        """The rank's window; an in-flight transfer is waited for."""
+        if rnd.handle is None:
+            return rnd.windows[rank]
+        with span("cluster.wait", **lane):
+            return rnd.handle.wait()[rank]
+
+    def _apply(self, acc: EventCounters | None, window: np.ndarray):
+        runtime = self.plan.compiled.runtime
+        if acc is None:
+            return runtime.apply(window)
+        out, ev = runtime.sweep(
+            window,
+            self.backend,
+            Device(injector=self.injector),
+            verify=self.verify_mode,
+            policy=self.policy,
+            report=self.report,
+        )
+        acc += ev
+        return out
+
+    def fold(self, rnd: _Round, results: dict[int, tuple]) -> None:
+        """Phase 4: results into blocks and counters; close the entry."""
+        for r in self.ranks:
+            out, ev, info = results[r]
+            self.blocks[r] = out
+            if ev is not None:
+                self.counters += ev
+            if info:
+                self.pids.add(info["pid"])
+                self.plan_keys.add(info["plan_key"])
+        self.round_log.append(
+            {
+                "round": rnd.index,
+                "steps": rnd.steps,
+                "depth": rnd.depth,
+                "halo_bytes": self.pending_bytes,
+                "comm_bytes_max": max(
+                    rnd.exchanger.bytes_per_exchange(r) for r in self.ranks
+                ),
+            }
+        )
+        self.pending_bytes = 0
+        rnd.windows = rnd.handle = None  # free for the next exchange
+
+    def barrier(self, round_i: int) -> None:
+        """Phase 5: every block is consistent; checkpoint, maybe halt."""
+        cfg = self.checkpoint
+        if cfg is None:
+            return
+        if (round_i + 1) % cfg.every == 0 or cfg.halt_after == round_i:
+            ck = self._save(round_i)
+            if cfg.halt_after == round_i:
+                raise CheckpointHalt(ck.path, round_i)
+
+    def _save(self, round_i: int) -> ClusterCheckpoint:
+        ck = save_checkpoint(
+            self.checkpoint.dir,
+            plan_key=self.plan.key,
+            round_index=round_i,
+            phases=[int(p) for p in self.phases],
+            steps=int(self.steps),
+            exchanged_bytes=self.exchanged,
+            round_log=[dict(entry) for entry in self.round_log],
+            blocks=self.blocks,
+            mesh=tuple(self.cluster.part.mesh),
+            global_shape=tuple(self.plan.global_shape),
+            trace_id=self.trace_id,
+            fault_state=self.injector.state_dict() if self.injector else None,
+            meta=dict(self.checkpoint.meta),
+            keep=self.checkpoint.keep,
+        )
+        self.saved_rounds.add(round_i)
+        return ck
+
+    def replan(self, exc: FaultError, round_i: int) -> None:
+        """The round's ``FaultError`` handler: re-partition the survivors
+        of a dead rank (elastic) to replay the round, else re-raise."""
+        dead = getattr(exc, "failed_task", None)
+        if not self.elastic or dead is None or len(self.ranks) <= 1:
+            raise exc
+        gshape = self.plan.global_shape
+        old_mesh = tuple(self.cluster.part.mesh)
+        new_mesh = (len(self.ranks) - 1,) + (1,) * (len(gshape) - 1)
+        global_now = self.cluster.gather(self.blocks)
+        plan = distribute(
+            self.plan.source_weights,
+            gshape,
+            new_mesh,
+            boundary=self.schedule.boundary,
+            block_steps=self.schedule.block_steps,
+            tiling=self.schedule.tiling,
+            backend=self.plan.backend,
+        )
+        self.schedule = plan.schedule
+        self._adopt(ClusterRuntime(plan, self.cluster.machine))
+        self.blocks = self.cluster.scatter(global_now)
+        if self.injector is not None:
+            # survivors are renumbered: the dead rank's (possibly
+            # sticky) faults must not pass to its index's heir
+            self.injector.disarm_rank(dead)
+        if self.report is not None:
+            self.report.bump("rank_reassignments")
+            if self.report.counts.get("unrecovered", 0) > 0:
+                # the supervisor booked the exhausted ladder as
+                # unrecovered; the re-partition *is* the recovery
+                self.report.bump("unrecovered", -1)
+        REGISTRY.counter(
+            "repro_rank_reassignments_total",
+            help="cluster ranks replaced by an elastic re-partition",
+        ).inc()
+        replan = {
+            "round": int(round_i),
+            "dead_rank": int(dead),
+            "old_mesh": [int(m) for m in old_mesh],
+            "new_mesh": [int(m) for m in new_mesh],
+        }
+        self.replans.append(replan)
+        emit_event(
+            "rank.reassigned",
+            level="warning",
+            message=(
+                f"rank {dead} exhausted its recovery ladder; re-partitioned "
+                f"{old_mesh} -> {new_mesh}, replaying round {round_i}"
+            ),
+            **replan,
+        )
+
+    def result(self) -> ClusterResult:
+        resilience = None
+        if self.checkpoint or self.resumed or self.elastic or self.halo_guard:
+            resilience = {
+                "checkpoints": {
+                    "saved": len(self.saved_rounds),
+                    "restored": int(self.resumed is not None),
+                },
+                "halo": self.halo_tally,
+                "replans": self.replans,
+                "reassignments": len(self.replans),
+            }
+        return ClusterResult(
+            field=self.cluster.gather(self.blocks),
+            steps=self.steps,
+            phases=self.phases,
+            exchanged_bytes=self.exchanged,
+            counters=self.counters,
+            fault_report=self.report,
+            backend=self.backend,
+            executor=self.executor,
+            overlap=self.overlap,
+            worker_pids=tuple(sorted(self.pids)),
+            rank_plan_keys=tuple(sorted(self.plan_keys)),
+            round_log=tuple(self.round_log),
+            plan=self.plan,
+            trace_id=self.trace_id,
+            resumed_halo_bytes=(
+                int(self.resumed.exchanged_bytes) if self.resumed else 0
+            ),
+            resilience=resilience,
         )

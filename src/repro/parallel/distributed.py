@@ -10,9 +10,10 @@ dimension (1D/2D/3D), both boundaries, and all three executors
   round, in any dimension);
 * :func:`frame_regions` — split a block's output region into a
   ``depth``-inset interior and the boundary frame strips.  The interior
-  depends only on the rank's own block, so it computes *while the halo
-  transfer is in flight*; the strips compute after arrival from
-  sub-windows of the deep window.  Both routes evaluate the identical
+  depends only on the rank's own block (:func:`advance_window` over the
+  block), so it computes *while the halo transfer is in flight*; the
+  strips compute after arrival from sub-windows of the deep window
+  (:func:`strip_window`).  Both routes evaluate the identical
   per-point FP chains, so the stitched result is bit-identical to the
   full-window advance (the overlap-equivalence suite asserts it);
 * :func:`process_advance` / :func:`_process_worker` — one rank's round
@@ -35,7 +36,6 @@ import numpy as np
 __all__ = [
     "advance_window",
     "frame_regions",
-    "interior_of",
     "strip_window",
     "process_advance",
 ]
@@ -122,29 +122,6 @@ def frame_regions(
             tuple(lead + [slice(shape[ax] - depth, shape[ax])] + tail)
         )
     return interior, strips
-
-
-def interior_of(
-    apply_fn: Callable[[np.ndarray], np.ndarray],
-    block: np.ndarray,
-    sub,
-    global_shape: Sequence[int],
-    boundary: str,
-    steps: int,
-    h: int,
-) -> np.ndarray:
-    """The interior region advanced ``steps`` steps from the block alone.
-
-    The dependency cone of output cells ``steps * h`` away from the
-    block edge never leaves the block, so this needs *no halo* — it is
-    the compute the overlapped pipeline performs while the exchange is
-    in flight.  Returns the advanced interior (shape shrunk by
-    ``steps * h`` per side).
-    """
-    origin = tuple(s.start for s in sub.slices)
-    return advance_window(
-        apply_fn, block, origin, global_shape, boundary, steps, h
-    )
 
 
 def strip_window(window: np.ndarray, region: Region, depth: int) -> np.ndarray:

@@ -23,10 +23,13 @@ Two execution paths share one accounting source:
 The data movement is performed through a global assembly (simulation
 convenience); the byte accounting is computed per device from exact
 ownership of every halo cell, which is what a point-to-point
-implementation would transfer.  Every accounted byte lands exactly once
-in :attr:`HaloExchanger.exchanged_bytes` *and* the process-wide
-``repro_halo_bytes_total`` metrics counter — callers must never re-sum
-``bytes_per_exchange`` on the side.
+implementation would transfer.  Each exchange moves exactly
+:meth:`HaloExchanger.total_bytes_per_exchange` and each retransmit
+:meth:`HaloExchanger.bytes_per_exchange` of the receiver; both land in
+:attr:`HaloExchanger.exchanged_bytes` and the process-wide
+``repro_halo_bytes_total`` metrics counter (for export).  A cluster
+run books the same amounts into its own ledger, so concurrent runs
+never read each other's traffic off the shared counter.
 """
 
 from __future__ import annotations
@@ -97,9 +100,8 @@ class HaloExchanger:
         self.part = part
         self.radius = radius
         self.boundary = boundary
-        #: total interconnect bytes this exchanger has moved — the single
-        #: source of truth for halo traffic (mirrored into the
-        #: ``repro_halo_bytes_total`` metrics counter)
+        #: total interconnect bytes this exchanger has moved, across
+        #: runs (mirrored into the ``repro_halo_bytes_total`` counter)
         self.exchanged_bytes = 0
         self._remote_cells = {
             sub.rank: self._count_remote_cells(sub) for sub in part.subdomains

@@ -2,11 +2,11 @@
 
 A distributed run leaves three artifacts behind: the merged span forest
 (every rank's lanes revived under the ``cluster.run`` root, across
-threads and processes), the per-round exchange ledger
-(:attr:`~repro.parallel.cluster.ClusterResult.round_log`, reconciling
-bit-exactly with the process-wide ``repro_halo_bytes_total`` counter),
-and the :class:`~repro.parallel.cluster.ClusterTimings` interconnect
-model.  :func:`build_cluster_report` folds them into one
+threads and processes), the run's halo ledger
+(:attr:`~repro.parallel.cluster.ClusterResult.round_log`, whose sum is
+``exchanged_bytes``), and the
+:class:`~repro.parallel.cluster.ClusterTimings` interconnect model.
+:func:`build_cluster_report` folds them into one
 :data:`CLUSTER_REPORT_SCHEMA` document answering the questions aggregate
 GStencil/s cannot:
 
@@ -24,10 +24,10 @@ GStencil/s cannot:
 * **load imbalance** — max/mean and MAD across ranks per round (ragged
   temporal rounds included), plus run-level headline ratios the perf
   trend gate watches;
-* **halo attribution** — per-round byte volumes reconciled bit-exactly
-  against ``ClusterResult.exchanged_bytes`` *and* the growth of the
-  ``repro_halo_bytes_total`` counter (three accounting sources, one
-  truth).
+* **halo attribution** — per-round byte volumes from the run's one
+  ledger, reconciled bit-exactly with ``ClusterResult.exchanged_bytes``
+  (``counter_delta`` is the part this call moved: what it added to the
+  exported ``repro_halo_bytes_total`` counter).
 
 All lane arithmetic is integer nanoseconds, so the report's invariants
 are exact, not approximate: per-rank lanes sum to per-rank wall time,
@@ -330,7 +330,7 @@ def build_cluster_report(
     max_over_mean = sum_max / sum_mean if sum_mean > 0 else 1.0
     mad_frac = sum_mad / sum_median if sum_median > 0 else 0.0
 
-    # -- halo attribution: three ledgers, one truth ----------------------
+    # -- halo attribution: one ledger ------------------------------------
     halo_rounds = [
         {
             "round": entry["round"],
@@ -343,14 +343,10 @@ def build_cluster_report(
         for entry in result.round_log
     ]
     halo_total = sum(entry["halo_bytes"] for entry in halo_rounds)
-    # a resumed run inherits its pre-checkpoint bytes from the manifest:
-    # the per-round log and exchanged_bytes span the whole run, while
-    # the process counter only grew during the resumed part
+    # a resumed run's log and exchanged_bytes span the whole run; the
+    # bytes before the checkpoint came from its manifest
     resumed = int(getattr(result, "resumed_halo_bytes", 0))
-    reconciled = (
-        halo_total == result.exchanged_bytes
-        and halo_total == result.halo_counter_delta + resumed
-    )
+    reconciled = halo_total == result.exchanged_bytes
 
     plan = getattr(result, "plan", None)
     name = f"cluster-{plan.key[:12]}" if plan is not None else "cluster"

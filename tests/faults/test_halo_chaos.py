@@ -14,6 +14,7 @@ from repro.faults import (
 )
 from repro.faults.supervisor import backoff_delay
 from repro.parallel.cluster import ClusterRuntime
+from repro.parallel.halo import halo_bytes_counter
 from repro.parallel.plan import distribute
 from repro.stencil.kernels import get_kernel
 from repro.stencil.reference import reference_iterate
@@ -30,9 +31,14 @@ def _run_pair(rng, faults, *, steps=9, policy=FAST_POLICY, **kwargs):
     x = rng.normal(size=(24, 24))
     plan = distribute(w, x.shape, (2, 2), block_steps=3)
     clean = ClusterRuntime(plan).run(x, steps).field
+    before = halo_bytes_counter().value
     result = ClusterRuntime(plan).run(
         x, steps, faults=faults, policy=policy, **kwargs
     )
+    # retransmits and aborted elastic attempts are real traffic: the
+    # exported counter grows by exactly the run's ledger
+    grown = halo_bytes_counter().value - before
+    assert grown == result.exchanged_bytes - result.resumed_halo_bytes
     return clean, result
 
 

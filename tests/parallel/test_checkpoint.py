@@ -18,6 +18,7 @@ from repro.parallel.checkpoint import (
     save_checkpoint,
 )
 from repro.parallel.cluster import ClusterRuntime
+from repro.parallel.halo import halo_bytes_counter
 from repro.parallel.plan import distribute
 from repro.stencil.kernels import get_kernel
 from repro.tcu.mma import MMA_ORDER_VERSION
@@ -228,9 +229,13 @@ class TestRunCheckpointResume:
             )
         assert exc.value.round_index == 1
         assert list_checkpoints(ckdir) == [0, 1]
+        before = halo_bytes_counter().value
         resumed = ClusterRuntime(plan).run(x, 9, resume_from=ckdir)
+        grown = halo_bytes_counter().value - before
         assert np.array_equal(resumed.field, baseline)
         assert resumed.resumed_halo_bytes > 0
+        # the exported counter only sees the bytes moved after the resume
+        assert grown == resumed.exchanged_bytes - resumed.resumed_halo_bytes
         assert resumed.resilience is not None
         assert resumed.resilience["checkpoints"]["restored"] == 1
 

@@ -2,6 +2,7 @@
 temporal tiling across dimensions."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -50,6 +51,67 @@ class TestClusterResult:
         with pytest.raises(ValueError):
             ClusterRuntime(plan).run(np.zeros((12, 12)), 1, executor="mpi")
 
+    @pytest.mark.parametrize(
+        "options",
+        [
+            dict(verify="abft"),
+            dict(backend="vectorized"),
+            dict(faults=FaultPlan(specs=(FaultSpec(kind="flip_acc"),))),
+            dict(faults=FaultPlan(specs=(FaultSpec(kind="flip_smem"),))),
+            dict(simulate=True, executor="process", verify="abft"),
+            dict(
+                simulate=True,
+                executor="process",
+                faults=FaultPlan(specs=(FaultSpec(kind="flip_acc"),)),
+            ),
+        ],
+        ids=[
+            "verify-functional",
+            "backend-functional",
+            "mma-fault-functional",
+            "stage-fault-functional",
+            "verify-process",
+            "mma-fault-process",
+        ],
+    )
+    def test_ignored_options_rejected(self, rng, options):
+        """Options the chosen path would silently drop are refused: the
+        functional sweep has no tensor core to verify or fault, and
+        worker processes run without the injector and ABFT."""
+        w = get_kernel("Heat-2D").weights
+        plan = distribute(w, (12, 12), (2, 1))
+        with pytest.raises(ValueError):
+            ClusterRuntime(plan).run(rng.normal(size=(12, 12)), 2, **options)
+
+
+class TestLedgerIsolation:
+    def test_concurrent_runs_keep_their_own_ledgers(self, rng):
+        """Each run books only the bytes its own exchanges moved, even
+        while another run exchanges in the same process."""
+        w = get_kernel("Box-2D9P").weights
+        x = rng.normal(size=(256, 256))
+        plan = distribute(w, x.shape, (2, 2))
+        solo = ClusterRuntime(plan).run(x, 8)
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(i):
+            runtime = ClusterRuntime(plan)
+            start.wait()
+            results[i] = runtime.run(x, 8)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+        for result in results:
+            assert result is not None
+            assert result.round_log == solo.round_log
+            assert result.exchanged_bytes == solo.exchanged_bytes
+            assert np.array_equal(result.field, solo.field)
+
 
 class TestProcessExecutor:
     def test_trajectory_bit_identical_to_serial(self, rng):
@@ -77,15 +139,13 @@ class TestProcessExecutor:
         plan = distribute(w, x.shape, (2, 1))
         runtime = ClusterRuntime(plan)
         with telemetry.capture() as tracer:
-            runtime.run(x, 2, executor="process")
+            result = runtime.run(x, 2, executor="process")
         roots = tracer.roots()
         spans = [s for root in roots for s in root.walk()]
         rank_spans = [s for s in spans if s.name == "cluster.rank"]
         # one revived lane per rank per round
         assert len(rank_spans) == 4
-        assert {s.attrs["pid"] for s in rank_spans} & set(
-            runtime.last_result.worker_pids
-        )
+        assert {s.attrs["pid"] for s in rank_spans} & set(result.worker_pids)
         assert len({s.trace_id for s in spans}) == 1
 
     def test_revived_spans_are_monotonic_and_disjoint(self, rng):

@@ -12,6 +12,7 @@ from repro.parallel.checkpoint import (
     load_checkpoint,
 )
 from repro.parallel.cluster import ClusterRuntime
+from repro.parallel.halo import halo_bytes_counter
 from repro.parallel.plan import distribute
 from repro.stencil.kernels import get_kernel
 
@@ -59,9 +60,10 @@ class TestCheckpointResumeProperties:
             pass
         assert kill_round in list_checkpoints(ckdir)
 
-        resumed = ClusterRuntime(plan).run(
-            x, steps, resume_from=load_checkpoint(ckdir, kill_round)
-        )
+        ckpt = load_checkpoint(ckdir, kill_round)
+        before = halo_bytes_counter().value
+        resumed = ClusterRuntime(plan).run(x, steps, resume_from=ckpt)
+        grown = halo_bytes_counter().value - before
         assert np.array_equal(resumed.field, baseline.field)
         assert resumed.exchanged_bytes == baseline.exchanged_bytes
         # three-ledger reconciliation: per-round log vs total vs resumed
@@ -69,6 +71,7 @@ class TestCheckpointResumeProperties:
             e["halo_bytes"] for e in resumed.round_log
         ) == resumed.exchanged_bytes
         assert resumed.resumed_halo_bytes <= resumed.exchanged_bytes
+        assert grown == resumed.exchanged_bytes - resumed.resumed_halo_bytes
 
     @given(
         executor=st.sampled_from(["serial", "thread"]),

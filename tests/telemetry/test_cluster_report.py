@@ -9,6 +9,7 @@ import pytest
 from repro import telemetry
 from repro.faults import FaultPlan, FaultSpec, RecoveryPolicy
 from repro.parallel.cluster import ClusterRuntime
+from repro.parallel.halo import halo_bytes_counter
 from repro.parallel.plan import distribute
 from repro.stencil.kernels import get_kernel
 from repro.telemetry.cluster import (
@@ -86,14 +87,24 @@ class TestReportInvariants:
 
 class TestHaloReconciliation:
     def test_three_ledgers_agree_bit_exactly(self, rng):
-        result, tracer = _run(rng, steps=5, block_steps=2)
+        w = get_kernel("Heat-2D").weights
+        x = rng.normal(size=(32, 32))
+        plan = distribute(w, x.shape, (2, 2), block_steps=2)
+        with telemetry.capture() as tracer:
+            # capture() resets the metrics registry: read inside it
+            before = halo_bytes_counter().value
+            result = ClusterRuntime(plan).run(
+                x, 5, overlap=True, executor="thread"
+            )
+            grown = halo_bytes_counter().value - before
         report = build_cluster_report(result, tracer=tracer)
         halo = report["halo"]
         assert halo["reconciled"] is True
         per_round = sum(e["halo_bytes"] for e in halo["per_round"])
         assert per_round == halo["total_bytes"]
         assert halo["total_bytes"] == result.exchanged_bytes
-        assert halo["total_bytes"] == result.halo_counter_delta
+        # the exported counter grew by exactly the run's ledger
+        assert halo["total_bytes"] == grown == result.halo_counter_delta
         # ragged tail round (5 steps / block 2) is in the ledger too
         assert [e["steps"] for e in halo["per_round"]] == [2, 2, 1]
 
