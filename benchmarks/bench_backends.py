@@ -6,8 +6,10 @@ Two claims the unified ``backend=`` API makes, measured:
   interpreter — same grids, same :class:`~repro.tcu.counters.
   EventCounters` — across the Table II zoo;
 * evaluating the fixed-order MMA chain over the whole grid at once
-  (elementwise NumPy + probe-and-scale counters) is two orders of
-  magnitude faster in wall-clock than interpreting it tile by tile.
+  (elementwise NumPy + probe-and-scale counters) is far faster in
+  wall-clock than interpreting it tile by tile: 89–160x on the 2D
+  kernels here, with the interpreter pricing bank conflicts once per
+  access pattern.
 
 Each kernel's measurement is stamped as a pair of joinable run-records
 (``measure_reference`` with each backend), so the records carry the
@@ -36,9 +38,11 @@ WORKLOADS = [
     ("Heat-3D", 32),
 ]
 
-#: wall-clock floor asserted per 2D kernel (the headline >=15x on the
-#: 256x256 reference workload is gated by `repro perf check`)
-MIN_SPEEDUP_2D = 100.0
+#: wall-clock floor asserted per 2D kernel: ~0.37x the lowest 2D
+#: speedup measured (89x), the margin the previous 100x floor kept over
+#: its 273x measurement (the headline >=15x on the 256x256 reference
+#: workload is gated by `repro perf check`)
+MIN_SPEEDUP_2D = 33.0
 
 
 def _padded(weights, size, seed=0):
@@ -57,7 +61,8 @@ def _time(fn, repeat: int = 3) -> float:
 
 
 def test_vectorized_backend_speedup(benchmark, write_result):
-    """Bit-identical sweeps, two orders of magnitude faster on 2D kernels."""
+    """Bit-identical sweeps, well over an order of magnitude faster on 2D
+    kernels."""
     rows = [["kernel", "interpreter", "vectorized", "speedup"]]
     speedups_2d = []
     for name, size in WORKLOADS:

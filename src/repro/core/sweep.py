@@ -226,6 +226,7 @@ def run_block_sweep(
                                 compute_tile,
                                 warp,
                                 smem,
+                                (br, bc),
                                 tr,
                                 tc,
                                 mma_mark=mark,
@@ -307,6 +308,24 @@ def _tile_source(kernel, tile=None, profiler=None) -> TileProvider:
     )
 
 
+def _reference_tiles(vector, spec: SweepSpec, grids: np.ndarray) -> np.ndarray:
+    """Every tile's exact output for a ``(B, R, C)`` stack of padded grids.
+
+    A tile reads its staged block, which the guard scrubbed against DRAM
+    and which is zero past the grid, so its output is the plane's
+    fixed-order chain evaluated on the grid zero-extended to whole
+    tiles: one whole-grid :meth:`VectorProgram.evaluate` per plane (a 1D
+    grid is the stack ``(1, 1, n)``), byte-identical to replaying the
+    eager tile.  Returns ``(B, rows, cols)`` rounded up to whole tiles.
+    """
+    b, r_in, c_in = grids.shape
+    rows, cols = spec.interior
+    rows_t, cols_t = _round_up(rows, spec.tile[0]), _round_up(cols, spec.tile[1])
+    ext = np.zeros((b, r_in - rows + rows_t, c_in - cols + cols_t))
+    ext[:, :r_in, :c_in] = grids
+    return vector.evaluate(ext, lambda *_: None).reshape(b, rows_t, cols_t)
+
+
 def simulate(
     plan,
     padded: np.ndarray,
@@ -325,11 +344,12 @@ def simulate(
     steps the scheduled programs, ``"oracle"`` runs the eager tile math,
     ``"vectorized"`` evaluates every tile of a plane at once.  A
     CUDA-core config has no program, so every backend runs it eagerly.
-    ``verify="abft"`` checksum-verifies each tile and staging copy
-    against the oracle tile math, recovering under ``policy`` and
-    counting into ``report`` (see :mod:`repro.faults`).  ``block``
-    overrides the plan's thread-block shape.  The counters are the
-    events of this sweep only.
+    ``verify="abft"`` checksum-verifies each staging copy against DRAM
+    and each tile against an exact reference — one whole-grid
+    evaluation per plane, or a per-tile eager replay for a CUDA-core
+    config — recovering under ``policy`` and counting into ``report``
+    (see :mod:`repro.faults`).  ``block`` overrides the plan's
+    thread-block shape.  The counters are the events of this sweep only.
     """
     from repro.runtime.backends import get_backend
 
@@ -345,18 +365,25 @@ def simulate(
     planes, tiles = plan.lowered.planes, plan.lowered.tiles
     vectorized = backend == "vectorized"
 
-    def source_and_guard(plane, tile):
+    def source_and_guards(plane, tile, spec, grids):
+        """The plane's tile source and one guard per padded grid of the
+        ``(B, R, C)`` stack ``grids`` (``None`` each when unverified)."""
         source = _tile_source(
             plane.kernel, None if backend == "oracle" else tile, profiler
         )
         if not verify:
-            return source, None
+            return source, [None] * len(grids)
         from repro.faults.abft import make_guard
 
-        return source, make_guard(
-            plane.kernel.compute_tile, verify, policy=policy, report=report,
-            label="1d" if plan.ndim == 1 else "2d",
+        refs = (
+            [None] * len(grids)
+            if tile is None
+            else _reference_tiles(tile.vector, spec, grids)
         )
+        return source, [
+            make_guard(plane.kernel, verify, ref, policy=policy, report=report)
+            for ref in refs
+        ]
 
     if plan.ndim < 3:
         (plane,), (tile,) = planes, tiles
@@ -366,7 +393,7 @@ def simulate(
         if vectorized and tile is not None:
             out, events = run_vector_sweep(grid, spec, tile.vector, device, profiler)
         else:
-            source, guard = source_and_guard(plane, tile)
+            source, (guard,) = source_and_guards(plane, tile, spec, grid[None])
             out, events = run_block_sweep(grid, spec, source, device, profiler, guard)
         return out.reshape(interior), events
 
@@ -395,10 +422,11 @@ def simulate(
                     )
                     warp.cuda_core_axpy(out, 1.0, slabs)
                     continue
-                source, guard = source_and_guard(plane, tile)
-                for z in range(zs):
+                slabs = padded[z0 : z0 + zs]
+                source, guards = source_and_guards(plane, tile, spec, slabs)
+                for z, guard in enumerate(guards):
                     slab, _ = run_block_sweep(
-                        padded[z + z0], spec, source, device, profiler, guard
+                        slabs[z], spec, source, device, profiler, guard
                     )
                     warp.cuda_core_axpy(out[z], 1.0, slab)
         gmem_out = device.global_array(np.zeros_like(out), name="output")

@@ -12,13 +12,20 @@ column sums of the produced tile, and any corrupted accumulator shows
 up as a checksum mismatch.  On real hardware the checksum row rides as
 one extra row inside the same MMAs (``O(1/m)`` overhead) and the
 comparison needs a rounding tolerance.  On this FP64 *simulator* we can
-do better: the schedule-equivalence guarantee (eager oracle path and
-lowered-program interpretation are bit-identical — pinned by
-``tests/properties/test_schedule_equivalence.py``) means the checksum
-reference can be recomputed through the oracle chain on a scratch warp
-and compared at **tolerance 0** — a fault-free sweep never false-
-positives, and any corruption that alters a row/column sum is caught
-with certainty.
+do better: every backend runs the same fixed-order MMA chain, so the
+eager tile, the interpreted program and the whole-grid evaluation
+(:meth:`repro.core.vectorize.VectorProgram.evaluate`) are byte-identical,
+and the reference checksums are compared at **tolerance 0** — a
+fault-free sweep never false-positives, and any corruption that alters
+a row/column sum is caught with certainty.
+
+The reference never runs on the device's warp, so warp-level injection
+cannot reach it.  A plane with a tensor-core program takes every tile's
+reference from one whole-grid evaluation of its sweep input: the staged
+block a tile reads was scrubbed against DRAM and is zero past the grid,
+so the tile equals the chain evaluated on the input zero-extended to
+whole tiles.  A CUDA-core plane (no program) replays the eager
+``compute_tile`` per tile on a private scratch warp instead.
 
 :class:`SweepGuard` packages verification with the recovery ladder of
 :func:`repro.core.sweep.run_block_sweep`:
@@ -33,6 +40,7 @@ with certainty.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +49,7 @@ import numpy as np
 from repro.errors import FaultError, InputValidationError
 from repro.faults.report import FaultReport
 from repro.tcu.counters import EventCounters
+from repro.tcu.memory import SharedMemory
 from repro.tcu.warp import Warp
 from repro.telemetry.log import emit as emit_event
 
@@ -128,8 +137,8 @@ def term_checksum_vectors(
     column sums of ``U_k`` and the row sums of ``V_k`` — the vectors
     the hardware formulation carries through the chain.  Exposed for
     inspection (``repro chaos``/``plan.abft_checksums()``); the
-    simulator's tolerance-0 verification recomputes the checksums
-    through the oracle chain instead (see the module docstring).
+    simulator's tolerance-0 verification takes the checksums of an
+    exact reference tile instead (see the module docstring).
     """
     return [
         {
@@ -166,28 +175,66 @@ def halo_frame_checksums(window: np.ndarray, depth: int) -> tuple[float, ...]:
     return tuple(float(np.sum(window[s])) for s in strips)
 
 
+#: plane kernel -> {smem shape: what one eager tile replay books}
+_REPLAY_COST: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _replay_cost(kernel, smem_shape: tuple[int, int]) -> EventCounters:
+    """The events one eager tile replay books on the staged block.
+
+    The replay runs on a scratch warp but reads the block's shared
+    memory, whose ledger is the device's: its fragment and scalar loads
+    (and their bank conflicts).  Probed once on scratch shared memory;
+    the cost is value-independent and the same at every tile origin.
+    """
+    costs = _REPLAY_COST.setdefault(kernel, {})
+    cost = costs.get(smem_shape)
+    if cost is None:
+        cost = EventCounters()
+        smem = SharedMemory(smem_shape, cost, name="probe")
+        kernel.compute_tile(Warp(EventCounters()), smem, 0, 0)
+        costs[smem_shape] = cost
+    return cost
+
+
 class SweepGuard:
     """Verification + recovery hooks for one guarded block sweep.
 
-    ``reference`` is the plane kernel's *oracle* tile provider (the
-    eager ``compute_tile``); the guard replays it on a private
-    scratch warp with its own counter ledger, so the reference is
-    immune to warp-level injection and the device's event footprint
-    only grows by genuine recovery work (retries/restages).
+    ``kernel`` is the plane kernel; its eager ``compute_tile`` is the
+    oracle, the last rung of the recovery ladder.  ``reference`` is the
+    sweep's whole-tile reference grid — every tile's exact output, tiles
+    laid out as in the (tile-rounded) interior — or ``None`` to replay
+    the oracle per tile on a private scratch warp with its own ledger.
+
+    Counter booking: each verified tile books one eager replay's
+    shared-memory reads on the device (the replayed tile reads the
+    staged block; with a reference grid the probed cost of that replay
+    is booked instead), so a clean verified sweep's counters are the
+    plain sweep's plus ``tiles x`` :func:`_replay_cost`.  Recovery work
+    (restages, retries, the oracle fallback) books on top of that.
     """
 
     def __init__(
         self,
-        reference: Callable[..., np.ndarray],
+        kernel,
+        reference: np.ndarray | None = None,
         policy: RecoveryPolicy | None = None,
         report: FaultReport | None = None,
-        label: str = "",
     ) -> None:
+        self.kernel = kernel
         self.reference = reference
         self.policy = policy or RecoveryPolicy()
         self.report = report if report is not None else FaultReport()
-        self.label = label
         self._scratch = Warp(EventCounters())
+
+    def _reference_tile(self, smem, origin, tr: int, tc: int, shape) -> np.ndarray:
+        """The exact output of the tile at block-local ``(tr, tc)`` of the
+        block whose output origin is ``origin``."""
+        if self.reference is None:
+            return self.kernel.compute_tile(self._scratch, smem, tr, tc)
+        smem.counters += _replay_cost(self.kernel, smem.shape)
+        r, c = origin[0] + tr, origin[1] + tc
+        return self.reference[r : r + shape[0], c : c + shape[1]]
 
     # ------------------------------------------------------------------
     # staged shared memory: scrub against the DRAM source
@@ -257,20 +304,23 @@ class SweepGuard:
         compute_tile: Callable[..., np.ndarray],
         warp,
         smem,
+        origin: tuple[int, int],
         tr: int,
         tc: int,
         mma_mark: int | None = None,
     ) -> np.ndarray:
         """Verify one tile's checksums; recover or raise on mismatch.
 
-        ``mma_mark`` is the injector's MMA ordinal at the start of the
-        original tile computation: each recovery replay seeks the clock
+        ``origin`` is the output origin of the tile's block; ``(tr, tc)``
+        the tile's block-local origin.  ``mma_mark`` is the injector's
+        MMA ordinal at the start of the original tile computation: each
+        recovery replay seeks the clock
         back there, so the replay traverses the *same* fault sites —
         one-shot faults stay spent (a retry is clean), sticky faults
         re-fire (and eventually exhaust the ladder), and faults armed
         for later sites are not consumed early.
         """
-        ref = self.reference(self._scratch, smem, tr, tc)
+        ref = self._reference_tile(smem, origin, tr, tc, out_tile.shape)
         if _checksums_equal(out_tile, ref):
             return out_tile
         self.report.bump("tile_detections")
@@ -307,7 +357,7 @@ class SweepGuard:
                 return candidate
         if self.policy.oracle_fallback:
             _seek()
-            candidate = self.reference(warp, smem, tr, tc)
+            candidate = self.kernel.compute_tile(warp, smem, tr, tc)
             if _checksums_equal(candidate, ref):
                 self.report.bump("oracle_fallbacks")
                 emit_event(
@@ -336,20 +386,15 @@ class SweepGuard:
 
 
 def make_guard(
-    reference: Callable[..., np.ndarray],
+    kernel,
     verify,
+    reference: np.ndarray | None = None,
     policy: RecoveryPolicy | None = None,
     report: FaultReport | None = None,
-    label: str = "",
 ) -> SweepGuard | None:
-    """Build a :class:`SweepGuard` around the oracle tile provider
-    ``reference``, or ``None`` if ``verify`` is off."""
+    """Build a :class:`SweepGuard` for one sweep of the plane ``kernel``
+    (``reference`` as there), or ``None`` if ``verify`` is off."""
     mode = validate_verify_mode(verify)
     if mode is None:
         return None
-    return SweepGuard(
-        reference,
-        policy=policy,
-        report=report,
-        label=label,
-    )
+    return SweepGuard(kernel, reference, policy=policy, report=report)

@@ -17,6 +17,7 @@ Fig. 9 breakdown can price the difference.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,17 +38,33 @@ def bank_conflict_cycles(flat_addresses: np.ndarray) -> int:
 
     Model: 32 FP64 word-banks, bank = address mod 32.  Lanes reading the
     *same* address broadcast for free; distinct addresses on the same
-    bank serialize.  The cost is ``max_bank_degree - 1`` replays.
+    bank serialize.  The cost is ``max_bank_degree - 1`` replays, where a
+    bank's degree is the number of distinct addresses it serves.
     """
     flat = np.asarray(flat_addresses).reshape(-1)
     if flat.size == 0:
         return 0
-    conflicts = 0
-    banks = flat % _NUM_BANKS
-    for bank in np.unique(banks):
-        distinct = np.unique(flat[banks == bank]).size
-        conflicts = max(conflicts, distinct)
-    return max(0, int(conflicts) - 1)
+    degree = np.bincount(np.unique(flat).astype(np.int64) % _NUM_BANKS)
+    return int(degree.max()) - 1
+
+
+@lru_cache(maxsize=1024)
+def _pattern(
+    shape: tuple[int, int], row_stride: int, col_stride: int
+) -> tuple[np.ndarray, int]:
+    """Offsets and bank-conflict price of one fragment access pattern.
+
+    Element ``(r, c)`` sits at ``base + r*row_stride + c*col_stride``.
+    Adding the same ``base`` to every address rotates the banks, which
+    leaves each bank's distinct-address count unchanged, so the price
+    depends on the pattern only and is computed once per pattern.
+    """
+    rows, cols = shape
+    offsets = (
+        np.arange(rows)[:, None] * row_stride + np.arange(cols)[None, :] * col_stride
+    )
+    offsets.setflags(write=False)
+    return offsets, bank_conflict_cycles(offsets)
 
 
 class SharedMemory:
@@ -82,11 +99,7 @@ class SharedMemory:
                 f"of shape {self.data.shape}"
             )
         self.counters.shared_load_requests += 1
-        width = self.data.shape[1]
-        addrs = (
-            (row + np.arange(r))[:, None] * width + col + np.arange(c)[None, :]
-        )
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(addrs)
+        self.counters.shared_bank_conflicts += _pattern(shape, self.data.shape[1], 1)[1]
         return tile.copy()
 
     def read_fragment_strided(
@@ -110,11 +123,11 @@ class SharedMemory:
                 f"strided fragment [{start}, {end}) exceeds {self.name} "
                 f"of {flat.size} elements"
             )
-        idx = start + np.arange(cols)[None, :] * col_stride + np.arange(rows)[:, None]
+        offsets, conflicts = _pattern(shape, 1, col_stride)
         self.counters.shared_load_requests += 1
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(idx)
+        self.counters.shared_bank_conflicts += conflicts
         maybe_trace(self.counters, "load_strided", f"@{start}")
-        return flat[idx].astype(np.float64)
+        return flat[start + offsets]
 
     def read_fragment_view(
         self,
@@ -138,11 +151,11 @@ class SharedMemory:
                 f"fragment view [{start}..{last}] exceeds {self.name} "
                 f"of {flat.size} elements"
             )
-        idx = start + np.arange(rows)[:, None] * row_stride + np.arange(cols)[None, :] * col_stride
+        offsets, conflicts = _pattern(shape, row_stride, col_stride)
         self.counters.shared_load_requests += 1
-        self.counters.shared_bank_conflicts += bank_conflict_cycles(idx)
+        self.counters.shared_bank_conflicts += conflicts
         maybe_trace(self.counters, "load_view", f"@{start}")
-        return flat[idx].astype(np.float64)
+        return flat[start + offsets]
 
     def read_scalar_tile(self, row: int, col: int, shape: tuple[int, int]) -> np.ndarray:
         """CUDA-core (non-fragment) tile read: one request per 32 lanes."""
